@@ -2,7 +2,7 @@
 
 Tracks the cost of the hot paths so performance regressions in the
 cycle kernel are caught: full-fabric simulation throughput, the MAO
-fast path, and the analytical models (which should stay ~instant).
+fabric, and the analytical models (which should stay ~instant).
 """
 
 import pytest

@@ -129,9 +129,7 @@ class MasterPort:
             if txn is None:
                 txn = self.source.next_txn(cycle)
                 if txn is None:
-                    # Re-derived from source position on every step; the
-                    # SoA image deliberately omits it.
-                    self.exhausted = True  # statecheck: derived
+                    self.exhausted = True
                     return
             if not fabric.submit(txn, cycle):
                 # Ingress backpressure: retry the same transaction later.
@@ -158,7 +156,7 @@ class MasterPort:
     def wake_after(self, cycle: int) -> float:
         """Earliest future cycle at which :meth:`step` could do anything.
 
-        Used by the engine's fast path to skip masters that provably
+        Used by the vector engine tier to skip masters that provably
         cannot issue: a credit-blocked master sleeps until a completion
         (``inf`` — the engine wakes it explicitly), a pacing-blocked one
         until its meter expires.  A master with a staged retry or a

@@ -10,17 +10,16 @@ bugs (see DESIGN.md §7):
   without simulating (``repro-hbm check``).
 * :mod:`repro.check.lint` — AST lint forbidding nondeterminism sources
   in ``src/`` (``repro-hbm check --lint``).
-* :mod:`repro.check.statecheck` — whole-program state-coverage /
-  observer-purity / waker-audit analysis proving the engine tiers
-  cannot silently drift (``repro-hbm check --state``).
+* :mod:`repro.check.statecheck` — whole-program observer-purity /
+  waker-audit analysis proving the engine tiers cannot silently drift
+  (``repro-hbm check --state``).
 """
 
 from .findings import Finding, Report, render, render_json
 from .lint import lint_source, lint_tree
 from .sanitizer import CheckedBankSet, Sanitizer
 from .statecheck import (check_observer_purity, check_state,
-                         check_state_coverage, check_waker_audit,
-                         component_inventory, render_state_report,
+                         check_waker_audit, render_state_report,
                          state_stats)
 from .static import (WaitGraph, build_wait_graph, check_address_map,
                      check_all, check_config, check_credits,
@@ -34,9 +33,7 @@ __all__ = [
     "render_json",
     "check_observer_purity",
     "check_state",
-    "check_state_coverage",
     "check_waker_audit",
-    "component_inventory",
     "render_state_report",
     "state_stats",
     "lint_source",

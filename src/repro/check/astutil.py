@@ -49,7 +49,7 @@ def default_src_root() -> Path:
 
 def module_name(path: Path, src_root: Path) -> str:
     """Dotted module name of ``path`` relative to ``src_root``'s parent
-    (``src_root / 'dram/soa.py'`` -> ``'repro.dram.soa'``)."""
+    (``src_root / 'dram/bank.py'`` -> ``'repro.dram.bank'``)."""
     rel = path.relative_to(src_root)
     parts = (src_root.name,) + rel.with_suffix("").parts
     if parts[-1] == "__init__":

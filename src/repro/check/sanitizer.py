@@ -37,7 +37,7 @@ Violations raise typed :class:`~repro.errors.SanitizerError` subclasses
 carrying a minimal repro context (fabric, config, fault plan, cycle,
 transaction).  When the sanitizer is *off* (the default) the engine pays
 a single ``is None`` test per completion batch — the near-zero-overhead
-contract benchmarked in the fast-path tests.
+contract benchmarked in the engine-tier tests.
 
 The sanitizer is a pure observer: it never changes timing, so a run with
 the sanitizer enabled produces a bit-identical
@@ -187,7 +187,7 @@ class Sanitizer:
             cfg = eng.config
             ctx["config"] = (f"cycles={cfg.cycles} warmup={cfg.warmup} "
                              f"outstanding={cfg.outstanding} "
-                             f"fast_path={cfg.fast_path}")
+                             f"engine={cfg.engine}")
             if eng.faults is not None and eng.faults:
                 ctx["faults"] = eng.faults.describe()
             if cycle is None:

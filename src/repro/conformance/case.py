@@ -140,7 +140,7 @@ class FuzzCase:
         termination failure (lost transaction or livelock)."""
         return 40 * self.cycles + 60_000
 
-    def sim_config(self, engine: str = "fast") -> SimConfig:
+    def sim_config(self, engine: str = "legacy") -> SimConfig:
         return SimConfig(
             cycles=self.cycles,
             warmup=self.warmup,

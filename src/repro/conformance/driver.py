@@ -1,13 +1,13 @@
 """The conformance fuzz driver: sample → run → oracle → shrink.
 
-For every sampled configuration the driver runs the *real* engine three
-times — fast path, vector struct-of-arrays tier, and legacy per-cycle
-loop, all with the runtime sanitizer armed and both watchdogs set —
-drains, and then applies three stacked oracles:
+For every sampled configuration the driver runs the *real* engine twice
+— the vector tier and the legacy per-cycle loop, both with the runtime
+sanitizer armed and both watchdogs set — drains, and then applies three
+stacked oracles:
 
 1. the sanitizer (AXI ordering, conservation ledgers, credit leaks,
    DRAM bank legality) raising typed :class:`SanitizerError`\\ s,
-2. a bit-exactness diff of each optimized loop's report and post-drain
+2. a bit-exactness diff of the vector tier's report and post-drain
    counters against the legacy oracle,
 3. the analytical reference model (:mod:`repro.conformance.reference`).
 
@@ -118,22 +118,20 @@ def _totals(engine: Engine) -> Tuple[int, int, int, int, int]:
             sum(mp.unrecoverable for mp in mps))
 
 
-def _diff_outcomes(probe: Outcome, oracle: Outcome, probe_name: str,
-                   oracle_name: str = "legacy") -> List[str]:
-    """Bit-exactness diff of one optimized loop against the oracle."""
+def _diff_outcomes(vector: Outcome, legacy: Outcome) -> List[str]:
+    """Bit-exactness diff of the vector tier against the legacy oracle."""
     diffs: List[str] = []
-    if probe.abort != oracle.abort:
+    if vector.abort != legacy.abort:
         diffs.append(
-            f"abort differs: {probe_name}={probe.abort or 'completed'!r} "
-            f"{oracle_name}={oracle.abort or 'completed'!r}")
+            f"abort differs: vector={vector.abort or 'completed'!r} "
+            f"legacy={legacy.abort or 'completed'!r}")
         return diffs
-    if probe.totals != oracle.totals:
+    if vector.totals != legacy.totals:
         diffs.append(
-            f"post-drain counters differ: {probe_name}={probe.totals} "
-            f"{oracle_name}={oracle.totals}")
-    if probe.report != oracle.report:
-        diffs.append(f"SimReport differs between {probe_name} and "
-                     f"{oracle_name} loops")
+            f"post-drain counters differ: vector={vector.totals} "
+            f"legacy={legacy.totals}")
+    if vector.report != legacy.report:
+        diffs.append("SimReport differs between vector and legacy loops")
     return diffs
 
 
@@ -148,7 +146,6 @@ def run_case(case: FuzzCase) -> CaseResult:
     pred = predict(case)
     failures: List[Failure] = []
     try:
-        fast = _one_loop(case, "fast")
         vector = _one_loop(case, "vector")
         legacy = _one_loop(case, "legacy")
     except SanitizerError as exc:
@@ -161,18 +158,16 @@ def run_case(case: FuzzCase) -> CaseResult:
         return CaseResult(case=case, failures=(
             Failure("error", f"{type(exc).__name__}: {exc}"),))
 
-    for diff in _diff_outcomes(fast, legacy, "fast"):
+    for diff in _diff_outcomes(vector, legacy):
         failures.append(Failure("engine-diff", diff))
-    for diff in _diff_outcomes(vector, legacy, "vector"):
-        failures.append(Failure("engine-diff", diff))
-    for violation in check(case, pred, fast):
+    for violation in check(case, pred, legacy):
         failures.append(Failure("prediction", violation))
-    rep = fast.report
+    rep = legacy.report
     return CaseResult(
         case=case,
         failures=tuple(failures),
         total_gbps=rep.total_gbps if rep is not None else 0.0,
-        abort=fast.abort,
+        abort=legacy.abort,
     )
 
 
@@ -353,7 +348,7 @@ class CampaignReport:
             lines.append(f"  corpus entry written: {path}")
         if self.ok:
             lines.append("  all reference-model predictions satisfied; "
-                         "fast/vector/legacy loops bit-identical on every "
+                         "vector/legacy loops bit-identical on every "
                          "config")
         return "\n".join(lines)
 

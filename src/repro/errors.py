@@ -181,7 +181,7 @@ class TransactionTimeout(FaultError):
 class DeadlockError(FaultError):
     """The global progress watchdog saw in-flight work but no completions
     for ``progress_timeout_cycles`` — a deadlock, as opposed to the long
-    (but provably empty) quiescent stretches the fast path skips."""
+    (but provably empty) quiescent stretches the vector tier skips."""
 
 
 class UnrecoverableDataError(FaultError):

@@ -310,15 +310,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     sim_opts = argparse.ArgumentParser(add_help=False)
     sim_opts.add_argument("--no-cache", action="store_true",
                           help="disable the sweep-point result cache")
-    sim_opts.add_argument("--legacy-engine", action="store_true",
-                          help="use the reference cycle loop instead of the "
-                               "fast path (bit-identical results, slower)")
     sim_opts.add_argument("--engine", choices=list(ENGINE_TIERS),
                           default=None,
-                          help="main-loop tier for every simulation: fast "
-                               "(default), legacy (reference per-cycle "
-                               "loop), or vector (struct-of-arrays tier); "
-                               "all bit-identical")
+                          help="main-loop tier for every simulation: legacy "
+                               "(default; reference per-cycle loop) or "
+                               "vector (per-component due times, jumps "
+                               "idle windows); bit-identical")
     sim_opts.add_argument("--sanitize", action="store_true",
                           help="attach the runtime invariant sanitizer to "
                                "every simulation (bit-identical results, "
@@ -511,13 +508,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "no_cache", False):
         os.environ["REPRO_SIM_CACHE"] = "0"
-    if getattr(args, "legacy_engine", False):
-        os.environ["REPRO_FAST_PATH"] = "0"
     if getattr(args, "engine", None):
-        if getattr(args, "legacy_engine", False) \
-                and args.engine != "legacy":
-            parser.error("--legacy-engine conflicts with "
-                         f"--engine {args.engine}")
         os.environ["REPRO_ENGINE"] = args.engine
     if getattr(args, "sanitize", False):
         os.environ["REPRO_SANITIZE"] = "1"

@@ -12,9 +12,9 @@ The engine drives it through a narrow interface:
 * :meth:`BaseFabric.quiescent` — drain check for end-of-simulation,
 * :meth:`BaseFabric.next_event` — the fabric's *event horizon*: the
   earliest future cycle at which stepping it (absent new submissions)
-  could change observable state.  The engine's fast path uses it to jump
-  the clock over provably empty cycles; a conservative answer of
-  ``cycle + 1`` is always correct and merely disables skipping.
+  could change observable state.  The vector engine tier and its drain
+  use it to jump the clock over provably empty cycles; a conservative
+  answer of ``cycle + 1`` is always correct and merely disables skipping.
 """
 
 from __future__ import annotations
@@ -96,6 +96,12 @@ class BaseFabric:
 
     def quiescent(self) -> bool:
         raise NotImplementedError
+
+    def held_work(self) -> int:
+        """Transactions buffered inside the fabric: controller queues and
+        scheduled completions.  Subclasses add their interconnect
+        buffers.  Diagnostics only (the drain failure message)."""
+        return sum(mc.in_flight() for mc in self.mcs) + len(self._events)
 
     def next_event(self, cycle: int) -> float:
         """Earliest future cycle at which :meth:`step` could have an

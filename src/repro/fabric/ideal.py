@@ -68,6 +68,10 @@ class IdealFabric(BaseFabric):
         return (not self._in_transit and not self._staged
                 and self._mcs_quiescent())
 
+    def held_work(self) -> int:
+        return (super().held_work() + len(self._in_transit)
+                + len(self._staged))
+
     def next_event(self, cycle: int) -> float:
         nxt = super().next_event(cycle)
         if nxt <= cycle + 1:

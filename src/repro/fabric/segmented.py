@@ -273,6 +273,17 @@ class SegmentedFabric(BaseFabric):
                     return False
         return all(o.quiescent() for o in self._request_outputs + self._response_outputs)
 
+    def held_work(self) -> int:
+        """Adds every buffered flit and every flit on a bus (one
+        transaction per flit)."""
+        fifos = [f for group in (self.ingress, self.completion, self.mc_in,
+                                 self.resp_fifo) for f in group]
+        fifos += [f for sw in self.lat_req_in + self.lat_resp_in
+                  for side in sw for f in side]
+        outputs = self._request_outputs + self._response_outputs
+        return (super().held_work() + sum(len(f.items) for f in fifos)
+                + sum(len(o.in_flight) for o in outputs))
+
     def next_event(self, cycle: int) -> float:
         nxt = super().next_event(cycle)
         if nxt <= cycle + 1:

@@ -15,7 +15,7 @@ The resilience subsystem has four layers, each its own module:
 
 Everything is deterministic given ``(FaultPlan, seed)``: events fire at
 fixed cycles and the only probabilistic element (beat corruption) is a
-counter-based hash, so the engine's fast path and legacy loop observe
+counter-based hash, so the engine's vector tier and legacy loop observe
 bit-identical fault behaviour.
 """
 

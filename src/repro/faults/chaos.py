@@ -13,7 +13,7 @@ summarizes what survived:
 * channels left dead at the end of the run.
 
 Everything is deterministic given (scenario, fabric, pattern, cycles,
-seed), and bit-identical between the engine's fast path and legacy loop,
+seed), and bit-identical between the engine's vector tier and legacy loop,
 so the report can be golden-file tested and diffed across engines.
 """
 

@@ -12,7 +12,7 @@ Determinism is the whole design: the decision is a pure function of
 
 * repeated runs with the same :class:`~repro.faults.FaultPlan` flip the
   same beats,
-* the engine's fast path and the legacy per-cycle loop — which service
+* the engine's vector tier and the legacy per-cycle loop — which service
   exactly the same beats in the same order, just with different amounts
   of idle scanning in between — observe bit-identical fault behaviour,
 * no ``random`` / ``numpy`` stream state needs to be threaded through

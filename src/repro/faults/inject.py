@@ -3,9 +3,9 @@
 The :class:`FaultInjector` is the engine-side half of the fault model: it
 walks the plan's time-sorted events and mutates fabric state at exactly
 the scheduled cycles.  The engine calls :meth:`FaultInjector.fire_due` at
-the top of every simulated cycle and clamps its fast-path clock jumps to
-:meth:`FaultInjector.next_fire`, so the legacy per-cycle loop and the
-batched fast path apply every fault at the same cycle — a precondition
+the top of every simulated cycle, and the vector tier clamps its clock
+jumps to :meth:`FaultInjector.next_fire`, so the legacy per-cycle loop
+and the vector tier apply every fault at the same cycle — a precondition
 for the bit-identical-reports invariant the differential tests enforce.
 
 Effects per event kind:
@@ -56,7 +56,7 @@ class FaultInjector:
     def next_fire(self, cycle: int) -> float:
         """Cycle of the next unapplied event, ``inf`` when exhausted.
 
-        The fast path clamps its clock jumps here so fault cycles are
+        The vector tier clamps its clock jumps here so fault cycles are
         always visited (never jumped over).
         """
         i = self._next

@@ -7,7 +7,7 @@ effect, and the same ``(FaultPlan, seed)`` pair always produces the same
 simulated outcome — scheduled events fire at fixed cycles, and the only
 probabilistic element (per-beat data corruption) is driven by a counter-
 based hash (:mod:`repro.faults.ecc`) rather than by stateful RNG, so the
-fast-path and legacy engine loops observe identical fault behaviour.
+vector-tier and legacy loops observe identical fault behaviour.
 
 Event kinds
 -----------

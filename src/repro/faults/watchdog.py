@@ -14,12 +14,12 @@ Two detectors guard a run (both off by default, enabled through
   work with no completion for ``progress_timeout_cycles`` raises
   :class:`~repro.errors.DeadlockError`.  This deliberately distinguishes
   *deadlock* (work stuck) from *quiescence* (no work), which matters on
-  the engine's fast path where long quiescent stretches are legitimately
+  the engine's vector tier where long quiescent stretches are legitimately
   skipped in one jump.
 
 Both watchdogs are cycle-deterministic: they trip at an exact cycle
-derived from issue/completion times, and the fast path clamps its clock
-jumps to the next deadline, so fast and legacy loops raise identically.
+derived from issue/completion times, and the vector tier clamps its
+clock jumps to the next deadline, so both loops raise identically.
 """
 
 from __future__ import annotations

@@ -14,23 +14,20 @@ guards against simulator bugs silently inflating throughput.
 
 Two interchangeable main loops drive the model:
 
-* the **legacy loop** (:meth:`Engine.run` with ``fast_path=False``) steps
-  every master and the fabric once per cycle — the reference semantics;
-* the **fast path** (default) skips masters that provably cannot issue
-  this cycle (credits exhausted / pacing meter pending) and, when every
-  master is asleep, asks the fabric for its *event horizon*
-  (:meth:`~repro.fabric.base.BaseFabric.next_event`) and jumps the clock
-  forward over provably empty cycles.
+* the **legacy loop** (the default, ``engine="legacy"``) steps every
+  master and the fabric once per cycle — the reference semantics;
+* the **vector tier** (``engine="vector"``, :mod:`repro.sim.vector`)
+  tracks a due time per component, steps only the components that are
+  due, and jumps the clock over provably empty windows.
 
-The fast path is an optimization, never a model change: skipped work is
-exactly the work the legacy loop would have executed as a no-op, so both
-loops produce bit-identical :class:`SimReport` results (enforced by the
-differential tests in ``tests/test_engine_fastpath.py``).
+The vector tier is an optimization, never a model change: skipped work
+is exactly the work the legacy loop would have executed as a no-op, so
+both loops produce bit-identical :class:`SimReport` results (enforced by
+the differential tests in ``tests/test_engine_fastpath.py``).
 """
 
 from __future__ import annotations
 
-import math
 from typing import (TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence,
                     Tuple)
 
@@ -120,19 +117,16 @@ class Engine:
             Telemetry(interval=cfg.telemetry_interval).attach(self)
         self.cycle = 0
         #: Cycles the last :meth:`run` actually stepped (diagnostics; equals
-        #: ``config.cycles`` on the legacy path, typically less on the fast
-        #: path when quiescent stretches were skipped).
+        #: ``config.cycles`` on the legacy loop, typically less on the
+        #: vector tier when quiescent stretches were skipped).
         self.stepped_cycles = 0
 
     # -- main loop -----------------------------------------------------------
 
     def run(self) -> SimReport:
-        engine = self.config.engine
-        if engine == "vector":
+        if self.config.engine == "vector":
             from .vector import run_vector
             run_vector(self)
-        elif self.config.fast_path:
-            self._run_fast()
         else:
             self._run_legacy()
         fabric = self.fabric
@@ -229,106 +223,6 @@ class Engine:
                 tele.sample(cycle)
         self.stepped_cycles = self.config.cycles
 
-    def _run_fast(self) -> None:
-        """Batched loop: skip provably idle masters and empty cycles.
-
-        Per-master ``wake`` cycles encode when a master next needs
-        stepping (see :meth:`MasterPort.wake_after`); a completion wakes
-        its master for the following cycle.  When every master sleeps
-        beyond the next cycle, the clock jumps to the earliest of the
-        master horizon, the fabric's event horizon, the end of warmup
-        (the DRAM snapshot boundary), and the end of the run.  The
-        skipped cycles are exactly those in which the legacy loop would
-        have executed no observable work.
-        """
-        fabric = self.fabric
-        masters = self.masters
-        by_index = {mp.index: mp for mp in masters}
-        slot = {mp.index: i for i, mp in enumerate(masters)}
-        stats = self.stats
-        warmup = self.config.warmup
-        cycles = self.config.cycles
-        injector = self.injector
-        dog = self._txn_dog
-        pdog = self._progress_dog
-        tele = self.telemetry
-        wake: List[float] = [0.0] * len(masters)
-        snapshotted = False
-        stepped = 0
-        cycle = 0
-        while cycle < cycles:
-            self.cycle = cycle
-            stepped += 1
-            if injector is not None:
-                injector.fire_due(cycle)
-            if not snapshotted and cycle >= warmup:
-                stats.snapshot_dram(fabric.pchs)
-                snapshotted = True
-            for i, mp in enumerate(masters):
-                if wake[i] <= cycle:
-                    mp.step(cycle, fabric)
-                    wake[i] = mp.wake_after(cycle)
-            fabric.step(cycle)
-            done = fabric.completions
-            if done:
-                fabric.completions = []
-                for txn, _time in done:
-                    i = slot[txn.master]
-                    if wake[i] > cycle + 1:
-                        wake[i] = cycle + 1
-                self._process_completions(done, cycle, by_index)
-            if dog is not None:
-                dog.check(cycle)
-            if pdog is not None and cycle >= pdog.deadline():
-                pdog.check(cycle, sum(mp.outstanding for mp in masters))
-            if tele is not None and cycle >= tele.next_sample:
-                tele.sample(cycle)
-            nxt = cycle + 1
-            horizon = min(wake) if wake else math.inf
-            if horizon > nxt:
-                target = horizon
-                if not snapshotted and warmup > cycle:
-                    if warmup < target:
-                        target = warmup
-                if target > nxt:
-                    fabric_next = fabric.next_event(cycle)
-                    if fabric_next < target:
-                        target = fabric_next
-                # Clamp jumps to the fault and watchdog timeline so the
-                # skipped stretches contain no observable events — the
-                # invariant that keeps fast and legacy runs bit-identical
-                # under fault injection.
-                if target > nxt and injector is not None:
-                    nf = injector.next_fire(cycle)
-                    if nf < target:
-                        target = nf
-                if target > nxt and dog is not None:
-                    d = dog.next_deadline()
-                    if d < target:
-                        target = d
-                if (target > nxt and pdog is not None
-                        and any(mp.outstanding for mp in masters)):
-                    d = pdog.deadline()
-                    if d < target:
-                        target = d
-                if target > nxt:
-                    nxt = int(min(target, cycles))
-                    if tele is not None:
-                        # Event-horizon hook: snapshot the pre-jump state
-                        # (it persists unchanged across the skipped
-                        # stretch) instead of sampling per skipped cycle.
-                        tele.note_jump(cycle, nxt)
-            cycle = nxt
-        if not snapshotted:
-            # warmup == cycles is rejected by SimConfig, so the snapshot
-            # always lands inside the loop; keep a defensive fallback.
-            stats.snapshot_dram(fabric.pchs)  # pragma: no cover
-        # The legacy loop leaves ``self.cycle`` at the last simulated
-        # cycle; match it so drain() proceeds identically after a run
-        # whose trailing quiet cycles were skipped.
-        self.cycle = cycles - 1
-        self.stepped_cycles = stepped
-
     def drain(self, max_cycles: int = 200_000) -> int:
         """Run extra cycles (without fresh issues) until quiescent.
 
@@ -342,14 +236,16 @@ class Engine:
         transaction watchdog, when enabled, keeps checking — a silently
         stuck transaction raises a typed
         :class:`~repro.errors.TransactionTimeout` instead of spinning to
-        the drain deadline.
+        the drain deadline.  The vector tier jumps the clock to the
+        fabric's event horizon between drain steps; the legacy loop steps
+        every drain cycle.
         """
         fabric = self.fabric
         masters = self.masters
         by_index = {mp.index: mp for mp in masters}
         for mp in masters:
             mp.draining = True
-        fast = self.config.fast_path
+        jump = self.config.engine == "vector"
         dog = self._txn_dog
         san = self.sanitizer
         start = self.cycle + 1
@@ -388,7 +284,7 @@ class Engine:
                         san.check_drained()
                     return cycle - start + 1
                 nxt = cycle + 1
-                if fast:
+                if jump:
                     fabric_next = fabric.next_event(cycle)
                     for mp in masters:
                         r = mp.next_retry()
@@ -408,9 +304,14 @@ class Engine:
         finally:
             for mp in masters:
                 mp.draining = False
+        # Count the fabric's buffers too: a posted write acknowledged on
+        # acceptance no longer counts against its master, yet it can sit
+        # in an offline channel's queue forever.
         raise SimulationError(
             f"fabric failed to drain within {max_cycles} cycles "
-            f"({sum(mp.outstanding for mp in masters)} transactions stuck)")
+            f"({sum(mp.outstanding for mp in masters)} transactions "
+            f"outstanding at the masters, {fabric.held_work()} held in "
+            f"the fabric)")
 
 
 def simulate(

@@ -1,27 +1,27 @@
-"""The vectorized struct-of-arrays engine tier (``engine="vector"``).
+"""The vectorized engine tier (``engine="vector"``).
 
-Third main-loop tier next to the legacy per-cycle loop and the fast
-path.  Where the fast path skips whole *cycles* only when every master
-sleeps and the fabric's conservative :meth:`~repro.fabric.base.BaseFabric.next_event`
-allows it, the vector tier tracks a **per-component due time** — one
-slot per arbitrated output bus, per memory controller and per master —
-and each stepped cycle advances only the components whose due time has
-arrived.  The segmented fabric's arbitration planes keep their dues in
-numpy arrays (vectorized ``due <= cycle`` scans pay there, with dozens
-of switch outputs per plane); the MC dues and master wake times live in
+The one optimized main loop next to the legacy per-cycle reference.
+The vector tier tracks a **per-component due time** — one slot per
+arbitrated output bus, per memory controller and per master — and each
+stepped cycle advances only the components whose due time has arrived.
+The segmented fabric's arbitration planes keep their dues in numpy
+arrays (vectorized ``due <= cycle`` scans pay there, with dozens of
+switch outputs per plane); the MC dues and master wake times live in
 plain python lists under an exactly-maintained scalar minimum cache,
 which profiling showed beats numpy reductions at those plane sizes.
-The struct-of-arrays adapters (:mod:`repro.dram.soa`,
-:mod:`repro.fabric.soa`) carry the full numpy state image for
-capture/restore and digesting.  Between stepped cycles the tier jumps
-the clock to the minimum over all planes, which fires far more often
-than the fast path's horizon: a
-saturated controller whose scheduler has booked the DRAM bus 48 cycles
-ahead is provably idle until that booking drains, and a transmitting
-switch output is provably silent until its bus meter expires.
+The speed comes from these dues and the waker hooks below, not from a
+struct-of-arrays copy of the model state: components keep their own
+scalar state and are stepped in place.  Between stepped cycles the tier
+jumps the clock to the minimum over all planes, which fires far more
+often than a whole-fabric horizon would: a saturated controller whose
+scheduler has booked the DRAM bus 48 cycles ahead is provably idle until
+that booking drains, and a transmitting switch output is provably
+silent until its bus meter expires.  Where every master sits parked
+behind a dead channel (the starvation window), the tier steps a handful
+of cycles where the legacy loop steps all of them.
 
-Correctness rests on the same over-approximation property the fast path
-uses, applied per component:
+Correctness rests on an over-approximation property, applied per
+component:
 
 * the legacy loop steps *every* component *every* cycle, so stepping a
   component spuriously is always bit-identical (its step is a no-op);
@@ -37,8 +37,8 @@ re-arms its consumer through a waker hook (:attr:`~repro.fabric.links.ArbOutput.
 :attr:`~repro.dram.controller.MemoryController.waker`,
 :attr:`~repro.fabric.mao_fabric.MaoFabric.read_slot_waker`).  A fired
 fault event invalidates everything (:meth:`_BaseStepper.resync`) —
-fault handlers mutate arbitrary model state, so the caches start over;
-this clamps vectorized jumps exactly as the ISSUE requires.
+fault handlers mutate arbitrary model state, so the caches start over
+and no jump ever crosses a fault event.
 
 Where vectorization is *forbidden*: the per-cycle work inside one
 component stays scalar.  FR-FCFS picks, round-robin grants and the
@@ -50,7 +50,7 @@ stepped in exactly the legacy iteration order (see DESIGN.md §12).
 The tier is selected via ``SimConfig(engine="vector")`` / ``--engine
 vector`` / ``REPRO_ENGINE=vector`` and must produce bit-identical
 :class:`~repro.sim.stats.SimReport`, trace and telemetry-final results
-(enforced by the three-way grid in ``tests/test_engine_fastpath.py``
+(enforced by the differential grid in ``tests/test_engine_fastpath.py``
 and the conformance fuzz loop).
 """
 
@@ -190,8 +190,8 @@ class _BaseStepper:
     :class:`~repro.fabric.base.BaseFabric`, with no component skipping.
     Subclasses specialize for the shipped fabrics; a user fabric (or a
     subclass overriding ``step``) falls back here, so the vector engine
-    degrades to fast-path behavior instead of guessing at unknown
-    semantics.
+    degrades to whole-fabric horizon jumps instead of guessing at
+    unknown semantics.
     """
 
     def __init__(self, fabric: "BaseFabric") -> None:
@@ -526,10 +526,11 @@ def _master_mode(fabric: "BaseFabric") -> int:
 def run_vector(eng: "Engine") -> None:
     """The vector main loop; bit-identical to ``Engine._run_legacy``.
 
-    Mirrors the fast path's per-cycle phase order exactly, with three
-    upgrades: per-component due-driven fabric stepping (the stepper
-    tiers above), numpy wake/due arrays with vectorized ``<= cycle``
-    scans, and two extended master sleep states beyond
+    Mirrors the legacy loop's per-cycle phase order exactly, with three
+    upgrades over plain whole-fabric horizon jumps: per-component
+    due-driven fabric stepping (the stepper tiers above), numpy wake/due
+    arrays with vectorized ``<= cycle`` scans, and two extended master
+    sleep states beyond
     :meth:`~repro.axi.master.MasterPort.wake_after`:
 
     * **segmented ingress block** — a master with a staged transaction

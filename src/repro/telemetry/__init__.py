@@ -2,7 +2,7 @@
 
 The observability layer of the reproduction (ROADMAP north-star item):
 probes read the counters the simulated components already keep, a
-time-sliced sampler snapshots them without slowing the fast path, and
+time-sliced sampler snapshots them without slowing the engine, and
 the exporters turn one run into a Perfetto timeline plus a ranked
 bottleneck report attributing lost bandwidth to the switch, the DRAM, or
 the masters — the paper's Sec. IV-A decomposition, automated.

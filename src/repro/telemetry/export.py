@@ -12,7 +12,7 @@ load directly:
   under a "telemetry" process — gauges emit their sampled value,
   counters their per-interval delta (activity per slice, which is what
   you want to *see*; run totals live in the bottleneck report);
-* **fast-path jump** slices on an "engine" process marking the quiescent
+* **clock jump** slices on an "engine" process marking the quiescent
   stretches the clock skipped, so a gap in the counter tracks reads as
   "provably idle", not "sampler missed it".
 
@@ -130,7 +130,7 @@ def chrome_trace(
             for start, target in telemetry.jumps:
                 events.append({
                     "ph": "X", "pid": PID_ENGINE, "tid": 0,
-                    "cat": "engine", "name": "fast-path jump",
+                    "cat": "engine", "name": "clock jump",
                     "ts": _us(float(start), platform),
                     "dur": _us(float(target - start), platform),
                     "args": {"skipped_cycles": target - start - 1},

@@ -152,7 +152,7 @@ def profile_experiment(
         cache_hits=DEFAULT_CACHE.hits, cache_misses=DEFAULT_CACHE.misses,
         extra={"profile_point": point.describe(),
                "samples": tele.num_samples,
-               "fast_path_jumps": len(tele.jumps),
+               "clock_jumps": len(tele.jumps),
                "skipped_cycles": tele.skipped_cycles()})
 
     summary = format_summary(key, point, cfg, report, tele, rec, analysis)
@@ -179,7 +179,7 @@ def format_summary(
     analysis: BottleneckAnalysis,
 ) -> str:
     """Deterministic profile summary (golden-file tested)."""
-    path = "fast path" if cfg.fast_path else "legacy loop"
+    path = "vector tier" if cfg.engine == "vector" else "legacy loop"
     lines = [
         f"profile: {key} — {point.describe()}, {cfg.cycles} cycles ({path})",
     ]
@@ -188,7 +188,7 @@ def format_summary(
     lines.append(format_report(analysis))
     lines.append(
         f"  telemetry : {len(tele.probes)} probes, {tele.num_samples} "
-        f"samples (interval {tele.interval}), {len(tele.jumps)} fast-path "
+        f"samples (interval {tele.interval}), {len(tele.jumps)} clock "
         f"jumps skipping {tele.skipped_cycles()} cycles")
     dropped = f" ({rec.dropped} dropped)" if rec.dropped else ""
     lines.append(

@@ -7,10 +7,10 @@ attached it takes **samples** — one reading of every registered
 :class:`~repro.telemetry.metrics.Probe` — at three kinds of moment:
 
 * every ``interval`` simulated cycles (the time-sliced baseline),
-* whenever the fast path is about to jump the clock over a quiescent
+* whenever the vector tier is about to jump the clock over a quiescent
   stretch (the *event-horizon* hook: the state snapshot right before a
   jump is the last distinct state until the jump target, so sampling
-  there loses nothing while keeping the fast path fast — nothing is
+  there loses nothing while keeping the jump cheap — nothing is
   sampled *per skipped cycle*),
 * once at the end of the run (so final counter totals are always
   captured even when the horizon outran the sampling interval).
@@ -61,7 +61,7 @@ class Telemetry:
         self.sample_cycles: List[int] = []
         #: One row of probe readings per entry of :attr:`sample_cycles`.
         self.samples: List[List[float]] = []
-        #: Fast-path clock jumps recorded as ``(from_cycle, to_cycle)``.
+        #: Clock jumps recorded as ``(from_cycle, to_cycle)``.
         self.jumps: List[Tuple[int, int]] = []
         #: Next cycle at which the interval baseline wants a sample.
         self.next_sample = 0
@@ -129,7 +129,7 @@ class Telemetry:
         self.next_sample = cycle + self.interval
 
     def note_jump(self, cycle: int, target: int) -> None:
-        """The fast path is about to jump ``cycle`` -> ``target``.
+        """The vector tier is about to jump ``cycle`` -> ``target``.
 
         The pre-jump state is sampled (it persists unchanged until the
         target), and the jump span is recorded so trace exports can mark
@@ -195,5 +195,5 @@ class Telemetry:
         return h
 
     def skipped_cycles(self) -> int:
-        """Total cycles the fast path jumped over while attached."""
+        """Total cycles the clock jumped over while attached."""
         return sum(t - c - 1 for c, t in self.jumps)

@@ -2,9 +2,9 @@
 
 Two complementary halves:
 
-* **differential**: over the fast-path grid, a sanitizer-enabled run must
-  be clean *and* bit-identical to the plain run — the sanitizer is a pure
-  observer, never a timing change;
+* **differential**: over the engine-tier grid, a sanitizer-enabled run
+  must be clean *and* bit-identical to the plain run — the sanitizer is
+  a pure observer, never a timing change;
 * **mutation**: seeded simulator bugs (duplicated completions, leaked
   reorder slots, scrambled AXI ID lanes, lying bank state) must each be
   caught with the matching typed :class:`~repro.errors.SanitizerError`
@@ -40,7 +40,7 @@ def _engine(small_platform, fabric, *, pattern=Pattern.CCS, rw=READ_ONLY,
 
 # -- differential: clean runs stay clean and bit-identical -------------------
 
-@pytest.mark.parametrize("engine", ["fast", "vector"])
+@pytest.mark.parametrize("engine", ["legacy", "vector"])
 @pytest.mark.parametrize("fabric_key,pattern,rw,outstanding", GRID,
                          ids=[f"{f}-{p.name}-{r.reads}to{r.writes}-o{o}"
                               for f, p, r, o in GRID])
@@ -70,9 +70,9 @@ def test_sanitized_fault_runs_clean(small_platform, fabric_key, plan_key):
     kw = dict(faults=FAULT_PLANS[plan_key], txn_timeout_cycles=4000,
               progress_timeout_cycles=4000)
     eng, sanitized = _run(small_platform, fabric_key, Pattern.SCS,
-                          TWO_TO_ONE, 16, "fast", sanitize=True, **kw)
+                          TWO_TO_ONE, 16, "vector", sanitize=True, **kw)
     _, plain = _run(small_platform, fabric_key, Pattern.SCS, TWO_TO_ONE, 16,
-                    "fast", **kw)
+                    "vector", **kw)
     assert sanitized == plain
     assert eng.sanitizer.checks_run > 0
 

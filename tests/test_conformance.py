@@ -4,6 +4,7 @@ and the pytest smoke tier (a small fixed-seed campaign in tier-1)."""
 from __future__ import annotations
 
 import dataclasses
+import re
 
 import pytest
 
@@ -52,12 +53,12 @@ def test_offline_degraded_predicts_dead_channel():
 def test_check_flags_conservation_breakage():
     case = _case()
     pred = predict(case)
-    fast = driver_mod._one_loop(case, "fast")
-    assert not check(case, pred, fast)  # healthy run passes
+    legacy = driver_mod._one_loop(case, "legacy")
+    assert not check(case, pred, legacy)  # healthy run passes
     # Forge an outcome whose post-drain ledger loses one transaction.
-    issued, completed, nacks, retries, unrec = fast.totals
-    forged = Outcome(report=fast.report, abort="",
-                     drain_cycles=fast.drain_cycles,
+    issued, completed, nacks, retries, unrec = legacy.totals
+    forged = Outcome(report=legacy.report, abort="",
+                     drain_cycles=legacy.drain_cycles,
                      totals=(issued, completed - 1, nacks, retries, unrec))
     violations = check(case, pred, forged)
     assert any("conservation" in v for v in violations)
@@ -66,14 +67,14 @@ def test_check_flags_conservation_breakage():
 def test_check_flags_physics_ceiling_breakage():
     case = _case()
     pred = predict(case)
-    fast = driver_mod._one_loop(case, "fast")
-    rep = fast.report
+    legacy = driver_mod._one_loop(case, "legacy")
+    rep = legacy.report
     # A report claiming more bandwidth than one beat per PCH per fabric
     # cycle must be called out, whatever the config.
     impossible = int(pred.physics_gbps * 2 * rep.elapsed_seconds * 1e9)
     forged = dataclasses.replace(rep, read_bytes=impossible)
     outcome = Outcome(report=forged, abort="",
-                      drain_cycles=fast.drain_cycles, totals=fast.totals)
+                      drain_cycles=legacy.drain_cycles, totals=legacy.totals)
     violations = check(case, pred, outcome)
     assert any("physic" in v or "ceiling" in v for v in violations)
 
@@ -95,6 +96,23 @@ def test_run_case_passes_on_a_healthy_config():
     result = run_case(_case())
     assert result.ok and not result.skipped
     assert result.total_gbps > 0
+
+
+def test_drain_failure_names_work_held_in_the_fabric():
+    """Regression: a strict-offline posted write is B-acked on acceptance
+    and then sits forever in the dead PCH's queue, so the drain failure
+    used to report "(0 transactions stuck)".  The message must name the
+    work the fabric holds; the finding itself stays a termination."""
+    case = _case(fabric="mao", pattern="SCS", rw="0:1", burst_len=16,
+                 outstanding=4, cycles=900, warmup_div=3,
+                 fault="offline-strict", seed=1)
+    assert case.label() == "mao/SCS/0:1/bl16/o4/c900w3/offline-strict/small/s1"
+    result = run_case(case)
+    assert [f.kind for f in result.failures] == ["termination"]
+    detail = result.failures[0].detail
+    assert "0 transactions outstanding at the masters" in detail
+    held = re.search(r"(\d+) held in the fabric", detail)
+    assert held and int(held.group(1)) > 0, detail
 
 
 def test_run_case_skips_statically_impossible_configs():
@@ -164,7 +182,7 @@ def test_shrink_rejects_a_passing_case():
 
 def test_fuzz_smoke_campaign_is_clean():
     """Tier-1 smoke: a small fixed-seed campaign over the real engine
-    with the sanitizer armed must come back clean — fast/legacy loops
+    with the sanitizer armed must come back clean — vector/legacy loops
     bit-identical and every reference-model prediction satisfied."""
     report = run_campaign(budget=16, seed=0, minimize=False, corpus_dir=None)
     assert report.ok, report.summary()

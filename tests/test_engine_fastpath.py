@@ -1,15 +1,15 @@
-"""Differential tests of the engine tiers (legacy / fast / vector).
+"""Differential tests of the engine tiers (legacy / vector).
 
-The fast path (batched master stepping + quiescence skipping) and the
-vector tier (per-component due times in struct-of-arrays, batched
-advancement between event horizons) both claim to be *optimizations,
-never model changes*: for every configuration the
-:class:`~repro.sim.stats.SimReport` must be **bit-identical** to the
-legacy strictly per-cycle loop — same Welford latency moments (which are
-float-order-sensitive, so even completion *ordering* must match), same
-byte counters, same histograms.  These tests enforce that claim over a
-grid of fabric × pattern × direction × outstanding configurations, with
-every engine pair diffed, plus the drain/deadlock edge cases.
+The vector tier (per-component due times, clock jumps between event
+horizons) claims to be an *optimization, never a model change*: for
+every configuration the :class:`~repro.sim.stats.SimReport` must be
+**bit-identical** to the legacy strictly per-cycle loop — same Welford
+latency moments (which are float-order-sensitive, so even completion
+*ordering* must match), same byte counters, same histograms — and every
+component must end the run in the same state, as read by the telemetry
+probes the fabric declares.  These tests enforce that claim over a grid
+of fabric × pattern × direction × outstanding configurations, plus the
+drain/deadlock edge cases.
 """
 
 from __future__ import annotations
@@ -98,18 +98,25 @@ def _run(small_platform, fabric_key, pattern, rw, outstanding, engine,
     return eng, eng.run()
 
 
-def _three_way(small_platform, fabric_key, pattern, rw, outstanding,
-               **kw):
-    """Run all three tiers; diff every pair against the legacy oracle."""
-    reports = {
+def _probe_finals(engine):
+    """End-of-run value of every probe the fabric declares."""
+    return {p.name: p.read() for p in engine.fabric.telemetry_probes()}
+
+
+def _two_way(small_platform, fabric_key, pattern, rw, outstanding, **kw):
+    """Run both tiers; diff the vector tier against the legacy oracle,
+    report and final component state."""
+    runs = {
         engine: _run(small_platform, fabric_key, pattern, rw, outstanding,
-                     engine, **kw)[1]
+                     engine, **kw)
         for engine in ENGINE_TIERS
     }
-    legacy = reports["legacy"]
-    assert reports["fast"] == legacy, "fast != legacy"
-    assert reports["vector"] == legacy, "vector != legacy"
-    assert reports["vector"] == reports["fast"], "vector != fast"
+    (vec, vec_report), (leg, legacy) = runs["vector"], runs["legacy"]
+    assert vec_report == legacy, "vector != legacy"
+    finals, oracle = _probe_finals(vec), _probe_finals(leg)
+    assert finals.keys() == oracle.keys()
+    drift = sorted(n for n in oracle if finals[n] != oracle[n])
+    assert not drift, f"probe finals differ: {drift[:5]}"
     return legacy
 
 
@@ -120,7 +127,7 @@ def test_engines_bit_identical(small_platform, fabric_key, pattern, rw,
                                outstanding):
     # Dataclass equality covers every field, including the float Welford
     # moments and the latency histograms.
-    _three_way(small_platform, fabric_key, pattern, rw, outstanding)
+    _two_way(small_platform, fabric_key, pattern, rw, outstanding)
 
 
 @pytest.mark.parametrize("fabric_key,plan_key", FAULT_GRID,
@@ -133,40 +140,29 @@ def test_engines_bit_identical_under_faults(small_platform, fabric_key,
     plan = FAULT_PLANS[plan_key]
     kw = dict(faults=plan, txn_timeout_cycles=4000,
               progress_timeout_cycles=4000)
-    report = _three_way(small_platform, fabric_key, Pattern.SCS, TWO_TO_ONE,
-                        16, **kw)
+    report = _two_way(small_platform, fabric_key, Pattern.SCS, TWO_TO_ONE,
+                      16, **kw)
     # The scenario must actually have exercised the fault machinery.
     if plan.offline_pchs and plan.degrade:
         assert report.dead_pchs == plan.offline_pchs
         assert report.nacks > 0
 
 
-def test_fast_path_actually_skips_cycles(small_platform):
-    """Sanity: the low-intensity latency scenario has idle stretches the
-    fast path must exploit (otherwise it silently degraded to legacy)."""
-    engine, _ = _run(small_platform, "mao", Pattern.CCS, TWO_TO_ONE, 1,
-                     "fast")
-    assert engine.stepped_cycles < engine.config.cycles
-
-
 def test_vector_skips_cycles(small_platform):
-    """The vector tier must exploit idle stretches too.  Its per-component
-    dues and the fast path's whole-fabric horizon are each conservative in
-    *different* places, so neither strictly subsumes the other on healthy
-    runs — but the vector tier must still skip a substantial fraction of
-    the low-intensity scenario."""
+    """Sanity: the low-intensity latency scenario has idle stretches the
+    vector tier must exploit (otherwise it silently degraded to legacy)."""
     vec, _ = _run(small_platform, "mao", Pattern.CCS, TWO_TO_ONE, 1,
                   "vector")
     assert vec.stepped_cycles < vec.config.cycles
 
 
 def test_vector_jumps_starvation_window(small_platform):
-    """Where the vector tier provably out-skips the fast path: the hot
-    PCH goes offline with no degrade remap and no watchdogs, so every
-    credit parks behind the dead channel and the staged deque is refused
-    forever.  The fast path's ``next_event`` sees non-empty MC queues and
-    staged work and grinds cycle by cycle; the vector stepper's pop
-    tracking proves no acceptance is possible and jumps the window."""
+    """The regime the vector tier exists for: the hot PCH goes offline
+    with no degrade remap and no watchdogs, so every credit parks behind
+    the dead channel and the staged deque is refused forever.  A
+    whole-fabric ``next_event`` sees non-empty MC queues and staged work
+    and would grind cycle by cycle; the vector stepper's pop tracking
+    proves no acceptance is possible and jumps the window."""
     plan = FaultPlan([FaultEvent(FaultKind.PCH_OFFLINE, at=400, pch=0)],
                      degrade=False)
     stepped = {}
@@ -181,9 +177,8 @@ def test_vector_jumps_starvation_window(small_platform):
         eng = Engine(fabric, sources, cfg, faults=plan)
         reports[engine] = eng.run()
         stepped[engine] = eng.stepped_cycles
-    assert reports["fast"] == reports["legacy"]
     assert reports["vector"] == reports["legacy"]
-    assert stepped["vector"] < stepped["fast"] / 2
+    assert stepped["vector"] < stepped["legacy"] / 2
 
 
 def test_legacy_steps_every_cycle(small_platform):
@@ -256,27 +251,14 @@ def test_lossy_subclass_is_bit_identical(small_platform):
         cfg = SimConfig(cycles=400, warmup=100, outstanding=8, engine=engine)
         eng = Engine(fabric, sources, cfg)
         reports[engine] = eng.run()
-    assert reports["fast"] == reports["legacy"]
     assert reports["vector"] == reports["legacy"]
-
-
-def test_fast_path_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_FAST_PATH", "0")
-    assert SimConfig().fast_path is False
-    monkeypatch.setenv("REPRO_FAST_PATH", "1")
-    assert SimConfig().fast_path is True
-    monkeypatch.delenv("REPRO_FAST_PATH")
-    assert SimConfig().fast_path is True
 
 
 def test_engine_env_override(monkeypatch):
     monkeypatch.setenv("REPRO_ENGINE", "vector")
-    cfg = SimConfig()
-    assert cfg.engine == "vector"
-    assert cfg.fast_path is True
+    assert SimConfig().engine == "vector"
     monkeypatch.setenv("REPRO_ENGINE", "legacy")
-    cfg = SimConfig()
-    assert cfg.engine == "legacy"
-    assert cfg.fast_path is False
+    assert SimConfig().engine == "legacy"
     monkeypatch.delenv("REPRO_ENGINE")
-    assert SimConfig().engine == "fast"
+    assert SimConfig().engine == "legacy"
+    assert ENGINE_TIERS == ("legacy", "vector")

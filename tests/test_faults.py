@@ -316,9 +316,9 @@ class _ExplodingObserver:
 
 
 class TestObserverErrors:
-    @pytest.mark.parametrize("fast", [True, False], ids=["fast", "legacy"])
-    def test_raising_observer_surfaces_typed_error(self, fast):
-        engine = _engine(cycles=800, warmup=100, fast_path=fast)
+    @pytest.mark.parametrize("engine_tier", ["vector", "legacy"])
+    def test_raising_observer_surfaces_typed_error(self, engine_tier):
+        engine = _engine(cycles=800, warmup=100, engine=engine_tier)
         engine.observers.append(_ExplodingObserver())
         with pytest.raises(ObserverError, match="boom"):
             engine.run()

@@ -259,13 +259,16 @@ class TestStreamingCheckpoint:
         """Regression: cache.put used to be deferred until the whole map
         returned, so killing the sweep discarded every finished point.
         Now each completion is spilled immediately: SIGKILL the sweep
-        after k completions and k entries must survive, all loadable."""
+        after k completions and k entries must survive, all loadable.
+        The child runs in its own session so the kill takes its pool
+        workers down with it instead of orphaning them."""
         cache_dir = tmp_path / "cache"
         proc = subprocess.Popen(
             [sys.executable, "-c", _CHILD_SWEEP, str(cache_dir)],
             env={**os.environ, "PYTHONPATH": "src",
                  "REPRO_SIM_CACHE": "1"},
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            start_new_session=True)
         try:
             deadline = time.monotonic() + 60.0
             while time.monotonic() < deadline:
@@ -276,8 +279,11 @@ class TestStreamingCheckpoint:
                 time.sleep(0.05)
             else:
                 pytest.fail("no checkpointed entries appeared within 60s")
-            proc.send_signal(signal.SIGKILL)
         finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass  # the whole group already exited
             proc.wait(timeout=30)
         survivors = list(cache_dir.glob("*.pkl"))
         assert len(survivors) >= 3

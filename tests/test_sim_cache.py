@@ -112,15 +112,17 @@ def test_cache_disabled_by_env(monkeypatch):
     assert cache_enabled()
 
 
-def test_fast_path_toggle_changes_key(monkeypatch):
-    k_fast = sweep_key("x", DEFAULT_PLATFORM, a=1)
-    monkeypatch.setenv("REPRO_FAST_PATH", "0")
+def test_engine_toggle_changes_key(monkeypatch):
+    monkeypatch.setenv("REPRO_ENGINE", "legacy")
     k_legacy = sweep_key("x", DEFAULT_PLATFORM, a=1)
-    assert k_fast != k_legacy
+    monkeypatch.setenv("REPRO_ENGINE", "vector")
+    k_vector = sweep_key("x", DEFAULT_PLATFORM, a=1)
+    assert k_legacy != k_vector
 
 
 def test_observer_toggles_change_key(monkeypatch):
-    """The sanitize/telemetry switches key the cache like fast_path does."""
+    """The sanitize/telemetry switches key the cache like the engine
+    tier does."""
     base = sweep_key("x", DEFAULT_PLATFORM, a=1)
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     k_san = sweep_key("x", DEFAULT_PLATFORM, a=1)

@@ -2,7 +2,7 @@
 bottleneck analysis, provenance manifests, and the profile harness.
 
 The load-bearing property is the differential one: attaching the
-sampler — on either engine loop — must leave the simulation report
+sampler — on either engine tier — must leave the simulation report
 bit-identical to an unobserved run.  Telemetry is a pure observer.
 """
 
@@ -15,6 +15,7 @@ import pytest
 from repro.fabric import IdealFabric, MaoFabric, SegmentedFabric
 from repro.params import DEFAULT_PLATFORM
 from repro.sim import Engine, SimConfig, TraceRecorder
+from repro.sim.config import ENGINE_TIERS
 from repro.telemetry import (
     COUNTER, GAUGE, Log2Histogram, Probe, ProbeSet, Telemetry,
     build_manifest, chrome_trace, validate_chrome_trace, write_manifest,
@@ -40,14 +41,13 @@ GRID = [
 
 
 def _run(small_platform, fabric_key, pattern, rw, *, telemetry,
-         fast_path=True, cycles=1200, interval=64, outstanding=32,
-         engine=None):
+         engine="vector", cycles=1200, interval=64, outstanding=32):
     fabric = FABRICS[fabric_key](small_platform)
     sources = make_pattern_sources(pattern, small_platform, burst_len=8,
                                    rw=rw, address_map=fabric.address_map)
-    cfg = SimConfig(cycles=cycles, warmup=300, fast_path=fast_path,
-                    outstanding=outstanding, engine=engine or "",
-                    telemetry=telemetry, telemetry_interval=interval)
+    cfg = SimConfig(cycles=cycles, warmup=300, engine=engine,
+                    outstanding=outstanding, telemetry=telemetry,
+                    telemetry_interval=interval)
     engine_ = Engine(fabric, sources, cfg)
     return engine_, engine_.run()
 
@@ -133,9 +133,9 @@ class TestSampler:
         with pytest.raises(KeyError):
             tele.histogram("dram.pch0.beats")  # counter: no distribution
 
-    def test_fast_path_jumps_recorded(self, small_platform):
+    def test_vector_jumps_recorded(self, small_platform):
         # outstanding=1: each master waits out a full round trip between
-        # issues, leaving quiescent stretches the fast path jumps over.
+        # issues, leaving quiescent stretches the vector tier jumps over.
         engine, _ = _run(small_platform, "ideal", Pattern.SCRA, READ_ONLY,
                          telemetry=True, outstanding=1)
         tele = engine.telemetry
@@ -161,8 +161,8 @@ class TestSampler:
                               for f, p, r in GRID])
 def test_telemetry_is_a_pure_observer(small_platform, fabric_key, pattern,
                                       rw):
-    """Reports are bit-identical with telemetry on vs. off, on the fast
-    path — sampling must never perturb the simulation."""
+    """Reports are bit-identical with telemetry on vs. off, on the vector
+    tier — sampling must never perturb the simulation."""
     _, plain = _run(small_platform, fabric_key, pattern, rw, telemetry=False)
     _, observed = _run(small_platform, fabric_key, pattern, rw,
                        telemetry=True)
@@ -170,8 +170,8 @@ def test_telemetry_is_a_pure_observer(small_platform, fabric_key, pattern,
 
 
 def test_pure_observer_on_jumpy_workload(small_platform):
-    """The event-horizon hook runs inside the fast path's jump branch —
-    it too must not perturb the simulation."""
+    """The event-horizon hook runs inside the vector tier's jump branch
+    — it too must not perturb the simulation."""
     _, plain = _run(small_platform, "ideal", Pattern.SCRA, READ_ONLY,
                     telemetry=False, outstanding=1)
     engine, observed = _run(small_platform, "ideal", Pattern.SCRA,
@@ -181,35 +181,37 @@ def test_pure_observer_on_jumpy_workload(small_platform):
 
 
 def test_telemetry_identical_across_engine_loops(small_platform):
-    """When the fast path never jumps, both loops drive the sampler
-    through the same cycle schedule, so the full sampled series agree.
-    (With jumps, the fast path's extra event-horizon snapshots shift the
-    schedule — only the final counter totals are loop-invariant; see the
-    saturated-pattern precondition below.)"""
-    e_fast, r_fast = _run(small_platform, "xlnx", Pattern.CCS, TWO_TO_ONE,
-                          telemetry=True, fast_path=True)
+    """With a one-cycle interval the legacy loop samples every cycle,
+    while the vector tier samples every cycle it steps and still jumps
+    (sampling never forces a step).  At every cycle the vector tier
+    sampled, every probe must read what the legacy loop read there."""
+    e_vec, r_vec = _run(small_platform, "xlnx", Pattern.CCS, TWO_TO_ONE,
+                        telemetry=True, interval=1)
     e_legacy, r_legacy = _run(small_platform, "xlnx", Pattern.CCS,
-                              TWO_TO_ONE, telemetry=True, fast_path=False)
-    assert r_fast == r_legacy
-    tf, tl = e_fast.telemetry, e_legacy.telemetry
-    assert tf.jumps == []  # saturated crossing pattern: never quiescent
-    assert tf.sample_cycles == tl.sample_cycles
+                              TWO_TO_ONE, telemetry=True, interval=1,
+                              engine="legacy")
+    assert r_vec == r_legacy
+    tf, tl = e_vec.telemetry, e_legacy.telemetry
+    assert tf.jumps and not tl.jumps
+    assert tl.sample_cycles == list(range(e_legacy.config.cycles))
     assert tf.finals() == tl.finals()
     for probe in tf.probes:
-        assert tf.series(probe.name) == tl.series(probe.name), probe.name
+        legacy = dict(tl.series(probe.name))
+        for cycle, value in tf.series(probe.name):
+            assert legacy[cycle] == value, (probe.name, cycle)
 
 
 def test_telemetry_finals_loop_invariant_despite_jumps(small_platform):
-    """On a workload where the fast path does jump, the sampling
+    """On a workload where the vector tier does jump, the sampling
     schedules differ but every final counter total must still agree —
     the totals are simulation state, not sampling artifacts."""
-    e_fast, r_fast = _run(small_platform, "ideal", Pattern.SCRA, READ_ONLY,
-                          telemetry=True, outstanding=1)
+    e_vec, r_vec = _run(small_platform, "ideal", Pattern.SCRA, READ_ONLY,
+                        telemetry=True, outstanding=1)
     e_legacy, r_legacy = _run(small_platform, "ideal", Pattern.SCRA,
-                              READ_ONLY, telemetry=True, fast_path=False,
+                              READ_ONLY, telemetry=True, engine="legacy",
                               outstanding=1)
-    assert r_fast == r_legacy
-    tf, tl = e_fast.telemetry, e_legacy.telemetry
+    assert r_vec == r_legacy
+    tf, tl = e_vec.telemetry, e_legacy.telemetry
     assert tf.jumps and not tl.jumps
     finals_f, finals_l = tf.finals(), tl.finals()
     for probe in tf.probes:
@@ -217,7 +219,7 @@ def test_telemetry_finals_loop_invariant_despite_jumps(small_platform):
             assert finals_f[probe.name] == finals_l[probe.name], probe.name
 
 
-@pytest.mark.parametrize("engine", ["legacy", "fast", "vector"])
+@pytest.mark.parametrize("engine", ["legacy", "vector"])
 def test_non_dividing_interval_is_still_pure(small_platform, engine):
     """Latent gap: with a sampling interval that does *not* divide the
     engines' jump lengths (97 is prime), the next scheduled sample falls
@@ -236,7 +238,7 @@ def test_non_dividing_interval_is_still_pure(small_platform, engine):
         assert any(c % 97 != 0 for c in eng.telemetry.sample_cycles)
 
 
-@pytest.mark.parametrize("engine", ["legacy", "fast", "vector"])
+@pytest.mark.parametrize("engine", ["legacy", "vector"])
 def test_non_dividing_interval_reports_identical_across_engines(
         small_platform, engine):
     """And across tiers: the non-dividing interval must not open a gap
@@ -336,7 +338,7 @@ class TestManifest:
         m = build_manifest("fig3", small_platform, cfg)
         assert m["schema"] == MANIFEST_SCHEMA
         assert not any("time" in k or "date" in k for k in m)
-        assert m["engine_path"] in ("fast", "legacy")
+        assert m["engine_path"] in ENGINE_TIERS
         json.dumps(m, allow_nan=False)
 
 
