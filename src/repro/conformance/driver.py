@@ -381,7 +381,7 @@ def run_campaign(budget: int = 200, seed: int = 0, *, minimize: bool = True,
                  journal_path: Optional[str] = None,
                  resume_from: Optional[str] = None,
                  max_minutes: Optional[float] = None,
-                 should_stop: Optional[Callable[[], bool]] = None,
+                 stop: Optional[Callable[[], bool]] = None,
                  ) -> CampaignReport:
     """Run a seeded fuzz campaign; optionally minimize and persist
     failures into the corpus directory.
@@ -393,7 +393,7 @@ def run_campaign(budget: int = 200, seed: int = 0, *, minimize: bool = True,
     list plus content-addressed :func:`case_digest` ids make the skip
     exact) and re-simulates only the remainder, appending to the same
     journal.  ``max_minutes`` checkpoints cleanly at a wall-clock
-    deadline; ``should_stop`` (e.g. a
+    deadline; ``stop`` (a predicate such as a
     :class:`~repro.runtime.GracefulShutdown`) checkpoints on operator
     interrupt.  Either way the report says how many cases remain and a
     rerun with ``resume_from`` finishes the campaign.
@@ -439,7 +439,7 @@ def run_campaign(budget: int = 200, seed: int = 0, *, minimize: bool = True,
                 if corpus_path:
                     report.corpus_written.append(corpus_path)
                 continue
-            if should_stop is not None and should_stop():
+            if stop is not None and stop():
                 report.interrupted = True
                 break
             if (deadline is not None

@@ -148,10 +148,9 @@ class SweepError(ReproError):
     """A supervised sweep (:mod:`repro.runtime`) did not complete cleanly.
 
     Raised by strict callers when a :class:`~repro.runtime.SweepOutcome`
-    carries task failures (poisoned/timed-out/crashed points) or was
-    interrupted before every point ran.  The outcome — including every
-    result that *did* complete — is attached as ``outcome``, so nothing
-    already computed is lost to the raise.
+    carries task failures (poisoned/timed-out/crashed points).  The
+    outcome — including every result that *did* complete — is attached
+    as ``outcome``, so nothing already computed is lost to the raise.
     """
 
     def __init__(self, message: str, outcome=None) -> None:

@@ -240,7 +240,7 @@ def _cmd_fuzz(args) -> tuple:
             journal_path=None if args.resume else journal_path,
             resume_from=args.resume,
             max_minutes=args.max_minutes,
-            should_stop=stop)
+            stop=stop)
     rc = 0 if report.ok else 1
     notes = []
     if report.resumed:
@@ -301,6 +301,27 @@ def _cmd_run(keys: List[str], cycles: Optional[int]) -> str:
     return "\n\n".join(chunks)
 
 
+#: Subcommands that run experiment sweeps (the ``sim_opts`` parents).
+_SWEEP_COMMANDS = ("run", "all", "report", "chaos", "profile")
+
+
+def _checkpoint_note(command: str) -> str:
+    """What survives an incomplete sweep, and how to pick it up."""
+    from ..sim.cache import DEFAULT_CACHE, cache_enabled
+    if command == "chaos":
+        return "the chaos suite keeps no checkpoint; a re-run starts over"
+    if not cache_enabled():
+        return ("the result cache is disabled (--no-cache): no finished "
+                "point was kept")
+    if DEFAULT_CACHE.directory:
+        return (f"finished points are checkpointed in the result cache at "
+                f"{DEFAULT_CACHE.directory}; re-run the same command to "
+                f"resume")
+    return ("finished points were cached in memory only; set "
+            "REPRO_SIM_CACHE_DIR to keep them across runs, so that a "
+            "re-run resumes")
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-hbm",
@@ -324,15 +345,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                           help="attach the telemetry sampler to every "
                                "simulation (bit-identical results; see "
                                "repro.telemetry and the profile subcommand)")
-    sim_opts.add_argument("--journal", type=str, default=None,
-                          help="record sweep progress durably to this "
-                               "JSONL journal (each finished point is "
-                               "checkpointed the moment it completes)")
-    sim_opts.add_argument("--resume", type=str, default=None,
-                          metavar="JOURNAL",
-                          help="resume from a sweep journal: points it "
-                               "records as finished are restored, not "
-                               "re-simulated")
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("list", help="list experiments")
     p_run = sub.add_parser("run", help="run selected experiments",
@@ -523,35 +535,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         for note in notes:
             print(note)
         return rc
-    sweep_resume = getattr(args, "resume", None)
-    sweep_journal_path = sweep_resume or getattr(args, "journal", None)
-    if sweep_journal_path is None:
+    if args.command not in _SWEEP_COMMANDS:
         return _dispatch(args)
-    # Sweep journaling: install the process-wide journal (and a graceful
-    # SIGINT/SIGTERM flag) so every nested parallel_sweep inherits
-    # point-level checkpointing and exact resume.
+    # Sweep commands: an incomplete sweep (a failed point, or Ctrl-C) ends
+    # with its outcome and where the finished points went, not a
+    # traceback.  The result cache is the sweeps' checkpoint.
     from ..errors import SweepError
-    from ..runtime import (GracefulShutdown, RunJournal, clear_active_journal,
-                           load_journal, set_active_journal,
-                           set_active_shutdown)
-    state = load_journal(sweep_resume) if sweep_resume else None
-    journal = RunJournal(sweep_journal_path, meta={"kind": "sweep"},
-                         resume=bool(sweep_resume))
     try:
-        with GracefulShutdown() as stop:
-            set_active_journal(journal, state)
-            set_active_shutdown(stop)
-            return _dispatch(args)
+        return _dispatch(args)
     except SweepError as exc:
-        outcome = exc.outcome
-        print(exc)
-        print(f"progress is journaled in {sweep_journal_path}; resume by "
-              f"re-running this command with --resume {sweep_journal_path}")
-        return 130 if outcome is not None and outcome.interrupted else 1
-    finally:
-        set_active_shutdown(None)
-        clear_active_journal()
-        journal.close()
+        print(exc, file=sys.stderr)
+        rc = 1
+    except KeyboardInterrupt:
+        print("sweep interrupted", file=sys.stderr)
+        rc = 130
+    print(_checkpoint_note(args.command), file=sys.stderr)
+    return rc
 
 
 def _dispatch(args) -> int:

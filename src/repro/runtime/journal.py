@@ -1,13 +1,11 @@
 """Durable, append-only run journal (crash-safe progress record).
 
 A :class:`RunJournal` is a JSONL file with one self-contained record per
-line.  Long-running harnesses (the supervised sweeps of
-:mod:`repro.runtime.pool`, the conformance fuzz campaigns of
-:mod:`repro.conformance.driver`) append a record as each unit of work
-starts and finishes; after a crash, an OOM kill, or an operator SIGINT,
-:func:`load_journal` recovers exactly which tasks completed (and their
-recorded payloads) so a resumed run re-executes only the unfinished
-remainder.
+line.  The conformance fuzz campaigns of :mod:`repro.conformance.driver`
+append a record as each case starts and finishes; after a crash, an
+OOM kill, or an operator SIGINT, :func:`load_journal` recovers exactly
+which tasks completed (and their recorded payloads) so a resumed run
+re-executes only the unfinished remainder.
 
 Durability contract
 -------------------
@@ -34,11 +32,9 @@ Record kinds (the ``type`` field):
 ``resume``    appended every time an existing journal is reopened
 ``start``     task dispatched (``task`` id)
 ``finish``    task completed (``task`` id, optional ``payload`` object)
-``failure``   task failed permanently (``task`` id, ``failure`` object)
 
-Task ids are caller-chosen strings; the harnesses use content-addressed
-digests (:func:`~repro.sim.cache.sweep_key` digests for sweep points,
-:func:`~repro.conformance.driver.case_digest` for fuzz cases) so an id
+Task ids are caller-chosen strings; the fuzz driver uses the
+content-addressed :func:`~repro.conformance.driver.case_digest` so an id
 names the *work*, not its position in some mutable list.
 """
 
@@ -66,8 +62,6 @@ class JournalState:
     meta: Dict[str, Any] = field(default_factory=dict)
     #: task id -> the ``payload`` object its ``finish`` record carried.
     finished: Dict[str, Any] = field(default_factory=dict)
-    #: task id -> the ``failure`` object of a permanent failure record.
-    failed: Dict[str, Any] = field(default_factory=dict)
     #: ids with a ``start`` but no terminal record — in flight at the
     #: moment the journaled run died; a resume re-executes them.
     started: Set[str] = field(default_factory=set)
@@ -137,11 +131,6 @@ def load_journal(path: str) -> JournalState:
             task = str(rec["task"])
             state.finished[task] = rec.get("payload")
             state.started.discard(task)
-            state.failed.pop(task, None)
-        elif kind == "failure":
-            task = str(rec["task"])
-            state.failed[task] = rec.get("failure")
-            state.started.discard(task)
         else:
             raise ConfigError(
                 f"journal {path} line {lineno}: unknown record type "
@@ -194,9 +183,6 @@ class RunJournal:
 
     def finish(self, task_id: str, payload: Any = None) -> None:
         self.record("finish", task=task_id, payload=payload)
-
-    def failure(self, task_id: str, failure: Dict[str, Any]) -> None:
-        self.record("failure", task=task_id, failure=failure)
 
     # -- lifecycle -----------------------------------------------------------
 

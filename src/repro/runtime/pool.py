@@ -17,12 +17,7 @@ on ``submit`` + bounded in-flight windows that
   subprocess (so a crashy neighbour cannot defeat it) and, if it still
   fails, reported as a structured :class:`TaskFailure` instead of
   aborting the sweep — partial results with explicit holes, mirroring
-  the NACK-and-degrade philosophy of :mod:`repro.faults`,
-* supports **graceful interruption** via a ``should_stop`` predicate
-  (wired to SIGINT/SIGTERM by :class:`repro.runtime.signals
-  .GracefulShutdown`): dispatch stops, in-flight tasks drain against a
-  deadline, and the never-started remainder is reported as ``pending``
-  so a journaled run can resume exactly.
+  the NACK-and-degrade philosophy of :mod:`repro.faults`.
 
 Everything lands in a :class:`SweepOutcome`: ordered results, the set of
 holes, and the supervision accounting (retries, pool rebuilds,
@@ -30,7 +25,10 @@ quarantines).  Since simulations are deterministic, an *ordinary*
 exception from the task function is reported immediately as a
 ``TaskFailure(kind="error")`` without retries — re-running a
 deterministic failure buys nothing; retry is reserved for tasks lost to
-worker death, which says nothing about the task itself.
+worker death, which says nothing about the task itself.  An interrupt
+(``KeyboardInterrupt``) propagates to the caller after the workers are
+killed: the points already handed to ``on_result`` stay checkpointed
+and no worker outlives the sweep.
 
 Ordinary wall-clock reads below are supervision plumbing (timeouts,
 backoff), not simulated behaviour — simulation results stay a pure
@@ -47,7 +45,7 @@ from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
-                    Set, Tuple)
+                    Tuple)
 
 from ..errors import SweepError
 
@@ -95,23 +93,18 @@ class SweepOutcome:
 
     total: int
     results: List[Any] = field(default_factory=list)
-    """Input-ordered; slots of failed/pending tasks hold ``None``.
-    Check :attr:`failures`/:attr:`pending` before trusting a ``None``."""
+    """Input-ordered; slots of failed tasks hold ``None``.
+    Check :attr:`failures` before trusting a ``None``."""
 
     completed: List[int] = field(default_factory=list)
     failures: List[TaskFailure] = field(default_factory=list)
-    pending: List[int] = field(default_factory=list)
-    """Indices never (or not terminally) run — non-empty only when the
-    sweep was interrupted; a resumed run re-executes exactly these."""
-
     retries: int = 0
     rebuilds: int = 0
     quarantined: int = 0
-    interrupted: bool = False
 
     @property
     def ok(self) -> bool:
-        return not self.failures and not self.interrupted
+        return not self.failures
 
     @property
     def holes(self) -> List[int]:
@@ -122,16 +115,12 @@ class SweepOutcome:
         if self.failures:
             bits.append(f"{len(self.failures)} failed "
                         f"({', '.join(sorted({f.kind for f in self.failures}))})")
-        if self.pending:
-            bits.append(f"{len(self.pending)} pending")
         if self.retries:
             bits.append(f"{self.retries} retries")
         if self.rebuilds:
             bits.append(f"{self.rebuilds} pool rebuilds")
         if self.quarantined:
             bits.append(f"{self.quarantined} quarantined")
-        if self.interrupted:
-            bits.append("interrupted")
         return ", ".join(bits)
 
     def require_complete(self) -> "SweepOutcome":
@@ -151,7 +140,7 @@ class SupervisedPool:
     ``workers`` fixes both the pool size and the in-flight window: at
     most ``workers`` tasks are submitted at a time, so the per-task
     timeout clock starts ticking approximately when the task starts
-    executing, and an interrupt never strands a deep submit queue.
+    executing.
     """
 
     def __init__(self, workers: int, *,
@@ -217,24 +206,15 @@ class SupervisedPool:
     def map(self, fn: Callable[[Any], Any], items: Sequence[Any], *,
             indices: Optional[Sequence[int]] = None,
             results: Optional[List[Any]] = None,
-            on_dispatch: Optional[Callable[[int], None]] = None,
             on_result: Optional[Callable[[int, Any], None]] = None,
-            on_failure: Optional[Callable[[TaskFailure], None]] = None,
-            should_stop: Optional[Callable[[], bool]] = None,
-            drain_timeout: float = 30.0) -> SweepOutcome:
+            ) -> SweepOutcome:
         """Map ``fn`` over ``items`` under supervision.
 
         ``indices`` restricts execution to a subset of positions (the
-        cache/journal layers skip already-satisfied points); ``results``
-        seeds the outcome's result list (must have ``len(items)`` slots).
-        ``on_dispatch(index)`` fires on first dispatch of each task (the
-        journal's ``start`` hook); ``on_result(index, value)`` fires the
-        moment each task completes — the streaming-checkpoint hook
-        (``cache.put``, journal append) — and ``on_failure(failure)``
-        when a task is given up on.
-        ``should_stop()`` polled between dispatches requests a graceful
-        stop: no new dispatch, in-flight drained for ``drain_timeout``
-        seconds, remainder reported as ``pending``.
+        cache layer skips already-satisfied points); ``results`` seeds
+        the outcome's result list (must have ``len(items)`` slots).
+        ``on_result(index, value)`` fires the moment each task completes
+        — the streaming-checkpoint hook (``cache.put``).
         """
         items = list(items)
         todo = list(range(len(items))) if indices is None else list(indices)
@@ -246,13 +226,11 @@ class SupervisedPool:
             raise ValueError("results seed must have one slot per item")
 
         queue: Deque[int] = deque(todo)
-        dispatched: Set[int] = set()
         crashes: Dict[int, int] = {}     # index -> pool-fatal attempts
         fail_kind: Dict[int, str] = {}   # index -> "crash" | "timeout"
         pool: Optional[ProcessPoolExecutor] = None
         inflight: Dict[Any, int] = {}    # Future -> index
         deadlines: Dict[Any, float] = {}  # Future -> monotonic deadline
-        stopping = False
 
         def record_result(i: int, value: Any) -> None:
             outcome.results[i] = value
@@ -262,12 +240,9 @@ class SupervisedPool:
 
         def record_failure(i: int, kind: str, detail: str,
                            attempts: int) -> None:
-            failure = TaskFailure(
+            outcome.failures.append(TaskFailure(
                 index=i, task=_describe(items[i]), kind=kind,
-                detail=detail, attempts=attempts)
-            outcome.failures.append(failure)
-            if on_failure is not None:
-                on_failure(failure)
+                detail=detail, attempts=attempts))
 
         def handle_suspect(i: int) -> None:
             """A task whose crash budget is exhausted: isolate or fail."""
@@ -312,27 +287,16 @@ class SupervisedPool:
             if backoff > 0:
                 time.sleep(backoff)
 
-        drain_deadline: Optional[float] = None
         try:
             while queue or inflight:
-                if (should_stop is not None and should_stop()
-                        and not stopping):
-                    stopping = True
-                    outcome.interrupted = True
-                    drain_deadline = (time.monotonic()  # det-lint: allow
-                                      + drain_timeout)
                 # -- dispatch ------------------------------------------------
-                while (queue and len(inflight) < self.workers
-                       and not stopping):
+                while queue and len(inflight) < self.workers:
                     i = queue.popleft()
                     if crashes.get(i, 0) > self.max_crash_retries:
                         handle_suspect(i)
                         continue
                     if pool is None:
                         pool = ProcessPoolExecutor(max_workers=self.workers)
-                    if on_dispatch is not None and i not in dispatched:
-                        dispatched.add(i)
-                        on_dispatch(i)
                     future = pool.submit(fn, items[i])
                     inflight[future] = i
                     if self.task_timeout is not None:
@@ -340,8 +304,6 @@ class SupervisedPool:
                             time.monotonic()  # det-lint: allow
                             + self.task_timeout)
                 if not inflight:
-                    if stopping:
-                        break
                     continue
                 # -- wait ----------------------------------------------------
                 now = time.monotonic()  # det-lint: allow
@@ -349,9 +311,6 @@ class SupervisedPool:
                 if deadlines:
                     timeout = min(timeout,
                                   max(0.0, min(deadlines.values()) - now))
-                if drain_deadline is not None:
-                    timeout = min(timeout,
-                                  max(0.0, drain_deadline - now))
                 done, _ = wait(set(inflight), timeout=timeout,
                                return_when=FIRST_COMPLETED)
                 # -- completions ---------------------------------------------
@@ -394,23 +353,6 @@ class SupervisedPool:
                         deadlines.pop(f, None)
                     recover_lost(offenders)
                     outcome.retries += len(offenders)
-                    continue
-                # -- drain deadline ------------------------------------------
-                if (drain_deadline is not None
-                        and time.monotonic() > drain_deadline):  # det-lint: allow
-                    break
-            # Anything still queued or in flight after an interrupt is
-            # pending work for a resumed run, not a failure.
-            if stopping:
-                leftovers = sorted(set(queue) | set(inflight.values()))
-                outcome.pending = [i for i in leftovers
-                                   if i not in outcome.completed]
         finally:
             self._kill_pool(pool)
-        outcome.pending.extend(
-            i for i in todo
-            if i not in outcome.completed
-            and i not in {f.index for f in outcome.failures}
-            and i not in outcome.pending)
-        outcome.pending.sort()
         return outcome

@@ -1,11 +1,10 @@
 """Graceful-shutdown plumbing for long-running harness commands.
 
 :class:`GracefulShutdown` is a context manager that converts the first
-SIGINT/SIGTERM into a *request* — a flag the supervised pool and the
-fuzz campaign loop poll between units of work — instead of an immediate
-``KeyboardInterrupt`` mid-simulation.  The run then stops dispatching,
-drains what is in flight, flushes its journal, and the CLI prints the
-exact resume command.  A second SIGINT means "no really, now": the
+SIGINT/SIGTERM into a *request* — a flag the fuzz campaign loop polls
+between cases — instead of an immediate ``KeyboardInterrupt``
+mid-simulation.  The campaign then stops, flushes its journal, and the
+CLI prints the exact resume command.  A second SIGINT means "no really, now": the
 original handler (normally ``KeyboardInterrupt``) is re-raised so an
 operator is never trapped behind a stuck drain.
 
@@ -40,7 +39,7 @@ class GracefulShutdown:
         return self._requested
 
     def __call__(self) -> bool:
-        """Usable directly as a ``should_stop`` predicate."""
+        """Usable directly as a stop predicate."""
         return self._requested
 
     def request(self) -> None:

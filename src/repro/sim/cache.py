@@ -278,22 +278,11 @@ class SimCache:
     def lookup(self, key: Tuple) -> Any:
         """Cached value for ``key``, or the :data:`MISS` sentinel.
 
-        Prefer this over :meth:`get` for miss detection: ``None`` is a
+        Compare against :data:`MISS`, never ``None``: ``None`` is a
         perfectly valid cached value (a sweep point that produced no
-        result), and ``get(...) is None`` silently re-simulates it on
-        every call.
+        result).
         """
         return self._lookup(key, count=True)
-
-    def get(self, key: Tuple) -> Optional[Any]:
-        """Cached value for ``key``, or ``None`` on a miss.
-
-        Legacy accessor: a cached ``None`` is indistinguishable from a
-        miss here.  Use :meth:`lookup` (against :data:`MISS`) or
-        :meth:`__contains__` when that matters.
-        """
-        value = self.lookup(key)
-        return None if value is MISS else value
 
     def __contains__(self, key: Tuple) -> bool:
         """Whether ``key`` would hit, without counting a hit or a miss."""

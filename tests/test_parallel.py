@@ -2,6 +2,7 @@
 
 import os
 import pickle
+import re
 import signal
 import subprocess
 import sys
@@ -13,7 +14,6 @@ import pytest
 from repro.errors import SweepError
 from repro.experiments.parallel import (default_workers, parallel_sweep,
                                         supervised_sweep)
-from repro.runtime import RunJournal, load_journal
 
 
 def _square(x):
@@ -106,133 +106,46 @@ class TestCrashSafety:
         assert outcome.results[1] == 4
 
 
-class TestJournaledSweep:
-    def test_journal_records_each_point_and_resume_skips_them(self, tmp_path):
-        path = str(tmp_path / "sweep.jsonl")
-        with RunJournal(path, meta={"kind": "sweep"}) as journal:
-            outcome = supervised_sweep(_square, [1, 2, 3], workers=1,
-                                       journal=journal)
-        assert outcome.ok
-        state = load_journal(path)
-        assert len(state.finished) == 3
+class TestSweepCommandExit:
+    """Sweep commands end an incomplete sweep with its outcome and a
+    checkpoint note, never a traceback."""
 
-        calls = []
+    def test_failed_chaos_point_exits_1_with_summary(self, monkeypatch,
+                                                      capsys):
+        import repro.faults.chaos as chaos_mod
+        from repro.experiments.runner import main
 
-        def tracked(x):
-            calls.append(x)
-            return x * x
+        def poisoned(args):
+            raise RuntimeError("poisoned scenario")
 
-        with RunJournal(path, resume=True) as journal:
-            resumed = supervised_sweep(tracked, [1, 2, 3, 4], workers=1,
-                                       journal=journal, resume_state=state)
-        assert resumed.results == [1, 4, 9, 16]
-        assert calls == [4]  # journaled points restored, not re-run
+        monkeypatch.setattr(chaos_mod, "_suite_point", poisoned)
+        rc = main(["chaos", "--cycles", "300", "--workers", "1"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        n = len(chaos_mod.SCENARIOS)
+        assert f"sweep incomplete: 0/{n} completed, {n} failed (error)" \
+            in err
+        assert "RuntimeError: poisoned scenario" in err
+        assert "keeps no checkpoint" in err
 
-    def test_journal_resume_survives_memory_only_cache(self, tmp_path):
-        """Journal payloads embed the values, so resume works even when
-        the result cache died with the process (memory-only cache)."""
-        from repro.params import DEFAULT_PLATFORM
-        from repro.sim.cache import SimCache, sweep_key
+    def test_interrupted_run_exits_130_naming_the_cache(self, monkeypatch,
+                                                        capsys, tmp_path):
+        import repro.experiments.runner as runner_mod
 
-        path = str(tmp_path / "sweep.jsonl")
-        with RunJournal(path, meta={}) as journal:
-            supervised_sweep(_square, [5, 6], workers=1, journal=journal,
-                             cache=SimCache(),
-                             key_fn=lambda x: sweep_key(
-                                 "unit-j", DEFAULT_PLATFORM, x=x))
-        fresh_cache = SimCache()  # the old memory cache is gone
-        state = load_journal(path)
-        outcome = supervised_sweep(_square, [5, 6], workers=1,
-                                   resume_state=state, cache=fresh_cache,
-                                   key_fn=lambda x: sweep_key(
-                                       "unit-j", DEFAULT_PLATFORM, x=x))
-        assert outcome.results == [25, 36]
-        assert len(outcome.completed) == 2
+        def interrupted(keys, cycles):
+            raise KeyboardInterrupt
 
-    def test_resume_matches_items_with_address_based_repr(self, tmp_path):
-        """Regression: ``_task_id`` fell back to ``repr(item)``; an item
-        whose repr embeds its memory address (``<... object at 0x...>``)
-        got a different id in every process, so resume silently re-ran
-        every journaled point instead of restoring it."""
-        import repro.experiments.parallel as parallel_mod
+        monkeypatch.setattr(runner_mod, "_cmd_run", interrupted)
+        monkeypatch.setenv("REPRO_SIM_CACHE", "1")
+        monkeypatch.setenv("REPRO_SIM_CACHE_DIR", str(tmp_path))
+        assert runner_mod.main(["run", "fig2"]) == 130
+        err = capsys.readouterr().err
+        assert "interrupted" in err
+        assert f"result cache at {tmp_path}; re-run" in err
 
-        class Opaque:  # default object repr: "<...Opaque object at 0x..>"
-            def __init__(self, n):
-                self.n = n
-
-        path = str(tmp_path / "sweep.jsonl")
-        calls = []
-
-        def fn(item):
-            calls.append(item.n)
-            return item.n * 10
-
-        parallel_mod._UNSTABLE_WARNED.clear()
-        with pytest.warns(RuntimeWarning, match="address-based repr"):
-            with RunJournal(path, meta={}) as journal:
-                supervised_sweep(fn, [Opaque(1), Opaque(2)], workers=1,
-                                 journal=journal)
-        assert calls == [1, 2]
-
-        # "Another process": brand-new instances at new addresses.
-        state = load_journal(path)
-        with RunJournal(path, resume=True) as journal:
-            outcome = supervised_sweep(fn, [Opaque(1), Opaque(2)],
-                                       workers=1, journal=journal,
-                                       resume_state=state)
-        assert outcome.results == [10, 20]
-        assert calls == [1, 2]  # restored from the journal, not re-run
-
-    def test_unstable_repr_warns_once_per_type(self, tmp_path):
-        import repro.experiments.parallel as parallel_mod
-
-        class Opaque:
-            pass
-
-        parallel_mod._UNSTABLE_WARNED.clear()
-        with pytest.warns(RuntimeWarning) as record:
-            with RunJournal(str(tmp_path / "j.jsonl"), meta={}) as journal:
-                supervised_sweep(lambda _x: 0,
-                                 [Opaque() for _ in range(10)],
-                                 workers=1, journal=journal)
-        unstable = [w for w in record
-                    if "address-based repr" in str(w.message)]
-        assert len(unstable) == 1
-
-    def test_stable_repr_walks_structured_items(self):
-        """Dataclasses / containers keep field-level identity even when a
-        leaf is unstable, and stable leaves are untouched."""
-        from dataclasses import dataclass
-
-        import repro.experiments.parallel as parallel_mod
-
-        @dataclass(frozen=True)
-        class Point:
-            a: int
-            b: str
-
-        assert parallel_mod._stable_repr(Point(1, "x")).endswith(
-            "Point(a=1, b='x')")
-        assert parallel_mod._stable_repr((1, [2, 3], {"k": 4})) == \
-            "(1, [2, 3], {'k': 4})"
-        # Identical ids across "processes" for the structured case.
-        i1 = parallel_mod._task_id(0, Point(1, "x"), None)
-        i2 = parallel_mod._task_id(0, Point(1, "x"), None)
-        assert i1 == i2
-
-    def test_interrupted_inline_sweep_reports_pending(self):
-        seen = []
-
-        def fn(x):
-            seen.append(x)
-            return x
-
-        outcome = supervised_sweep(fn, list(range(6)), workers=1,
-                                   should_stop=lambda: len(seen) >= 2)
-        assert outcome.interrupted
-        assert outcome.pending == [2, 3, 4, 5]
-        with pytest.raises(SweepError, match="interrupted"):
-            outcome.require_complete()
+        monkeypatch.delenv("REPRO_SIM_CACHE_DIR")
+        assert runner_mod.main(["run", "fig2"]) == 130
+        assert "set REPRO_SIM_CACHE_DIR" in capsys.readouterr().err
 
 
 _CHILD_SWEEP = textwrap.dedent("""
@@ -292,3 +205,91 @@ class TestStreamingCheckpoint:
                 key, value = pickle.load(fh)
             x = int(dict(key[-1])["x"])  # sweep_key folds the point in
             assert value == x * x
+
+    def test_sigint_then_rerun_matches_a_clean_run(self, tmp_path):
+        """End to end through the CLI: SIGINT ``run fig3`` mid-sweep,
+        then re-run it.  Nothing of the process group survives the
+        interrupt, the re-run's report equals a clean run's apart from
+        the elapsed-time field, and the re-run writes only the entries
+        the interrupted run had not."""
+        if not os.path.isdir("/proc"):
+            pytest.skip("needs /proc to list the process group")
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+        def start(cache_dir, out):
+            return subprocess.Popen(
+                [sys.executable, "-m", "repro", "run", "fig3",
+                 "--cycles", "1500", "--out", str(out)],
+                env={**os.environ, "PYTHONPATH": "src",
+                     "REPRO_SIM_CACHE": "1",
+                     "REPRO_SIM_CACHE_DIR": str(cache_dir),
+                     "REPRO_WORKERS": "2"},
+                cwd=root, start_new_session=True,
+                stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+
+        def entries(cache_dir):
+            return {p.name: (p.stat().st_ino, p.stat().st_mtime_ns)
+                    for p in cache_dir.glob("*.pkl")}
+
+        def report(out):
+            return re.sub(r"\(\d+\.\ds\)", "(N.Ns)", out.read_text())
+
+        resumed_dir = tmp_path / "resumed"
+        proc = start(resumed_dir, tmp_path / "interrupted.txt")
+        try:
+            deadline = time.monotonic() + 120.0
+            while len(entries(resumed_dir)) < 6:
+                if proc.poll() is not None:
+                    pytest.fail("fig3 finished before it was interrupted")
+                if time.monotonic() > deadline:
+                    pytest.fail("no checkpointed entries within 120s")
+                time.sleep(0.05)
+            os.killpg(proc.pid, signal.SIGINT)
+            _out, err = proc.communicate(timeout=60)
+            assert proc.returncode == 130, err.decode()
+            assert b"re-run the same command to resume" in err
+            deadline = time.monotonic() + 10.0
+            while _live_group_members(proc.pid):
+                assert time.monotonic() < deadline, \
+                    f"survivors: {_live_group_members(proc.pid)}"
+                time.sleep(0.1)
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            proc.wait(timeout=30)
+        kept = entries(resumed_dir)
+        assert not (tmp_path / "interrupted.txt").exists()
+
+        for cache_dir, out in ((resumed_dir, tmp_path / "resumed.txt"),
+                               (tmp_path / "clean", tmp_path / "clean.txt")):
+            run = start(cache_dir, out)
+            _out, err = run.communicate(timeout=600)
+            assert run.returncode == 0, err.decode()
+        assert report(tmp_path / "resumed.txt") == \
+            report(tmp_path / "clean.txt")
+        after = entries(resumed_dir)
+        clean = entries(tmp_path / "clean")
+        assert set(after) == set(clean) and len(kept) < len(clean)
+        # The re-run left every checkpointed entry untouched.
+        assert {name: after[name] for name in kept} == kept
+
+
+def _live_group_members(pgid):
+    """Pids of the process group ``pgid`` that are still running
+    (zombies awaiting their reaper do not count)."""
+    live = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                stat = fh.read()
+        except OSError:
+            continue  # exited while we looked
+        # "pid (comm) state ppid pgrp ..." — comm may hold spaces.
+        fields = stat[stat.rindex(")") + 2:].split()
+        if int(fields[2]) == pgid and fields[0] != "Z":
+            live.append(int(entry))
+    return live

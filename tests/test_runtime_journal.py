@@ -16,14 +16,11 @@ def test_round_trip(tmp_path):
     with RunJournal(path, meta={"kind": "unit", "seed": 7}) as journal:
         journal.start("a")
         journal.finish("a", {"value": 1})
-        journal.start("b")
-        journal.failure("b", {"kind": "crash", "detail": "boom"})
         journal.start("c")  # in flight at "crash" time — no terminal record
     state = load_journal(path)
     assert state.version == JOURNAL_VERSION
     assert state.meta == {"kind": "unit", "seed": 7}
     assert state.is_finished("a") and state.payload("a") == {"value": 1}
-    assert state.failed["b"] == {"kind": "crash", "detail": "boom"}
     assert state.started == {"c"}
     assert state.resumes == 0
 
@@ -109,20 +106,6 @@ def test_resume_appends_marker_and_preserves_history(tmp_path):
 def test_resume_of_missing_journal_raises(tmp_path):
     with pytest.raises(ConfigError, match="does not exist"):
         RunJournal(str(tmp_path / "nope.jsonl"), resume=True)
-
-
-def test_finish_supersedes_failure_on_retry(tmp_path):
-    """A task that failed in run 1 but succeeded in run 2 is finished."""
-    path = str(tmp_path / "run.jsonl")
-    with RunJournal(path, meta={}) as journal:
-        journal.start("t")
-        journal.failure("t", {"kind": "crash", "detail": "x"})
-    with RunJournal(path, resume=True) as journal:
-        journal.start("t")
-        journal.finish("t", {"v": 42})
-    state = load_journal(path)
-    assert state.is_finished("t") and state.payload("t") == {"v": 42}
-    assert "t" not in state.failed and "t" not in state.started
 
 
 def test_closed_journal_refuses_writes(tmp_path):

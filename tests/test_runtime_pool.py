@@ -153,27 +153,6 @@ class TestTimeouts:
         assert [outcome.results[i] for i in (0, 2, 3)] == [0, 4, 9]
 
 
-class TestGracefulStop:
-    def test_should_stop_drains_and_reports_pending(self):
-        stop_after = 3
-        seen = []
-
-        def should_stop():
-            return len(seen) >= stop_after
-
-        def on_result(i, value):
-            seen.append(i)
-
-        outcome = SupervisedPool(workers=1, backoff_base=0.01).map(
-            _square, list(range(10)), on_result=on_result,
-            should_stop=should_stop)
-        assert outcome.interrupted
-        assert len(outcome.completed) >= stop_after
-        assert outcome.pending  # the remainder is resumable work
-        assert sorted(outcome.completed + outcome.pending) == list(range(10))
-        assert not outcome.failures
-
-
 class TestOutcomeContract:
     def test_require_complete_passes_through_when_ok(self):
         outcome = _fast_pool().map(_square, [1, 2, 3])
@@ -192,11 +171,9 @@ class TestOutcomeContract:
         outcome = SweepOutcome(total=5, results=[None] * 5)
         outcome.completed = [0, 1]
         outcome.failures = [TaskFailure(2, "t", "poison", "d", 3)]
-        outcome.pending = [3, 4]
         outcome.retries, outcome.rebuilds = 4, 2
-        outcome.quarantined, outcome.interrupted = 1, True
+        outcome.quarantined = 1
         text = outcome.summary()
-        for needle in ("2/5", "1 failed", "poison", "2 pending",
-                       "4 retries", "2 pool rebuilds", "1 quarantined",
-                       "interrupted"):
+        for needle in ("2/5", "1 failed", "poison", "4 retries",
+                       "2 pool rebuilds", "1 quarantined"):
             assert needle in text

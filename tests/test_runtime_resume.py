@@ -36,7 +36,7 @@ def _interrupted_campaign(journal_path: str, stop_after: int):
 
     return run_campaign(
         BUDGET, seed=0, minimize=False, journal_path=journal_path,
-        progress=completed.append, should_stop=should_stop)
+        progress=completed.append, stop=should_stop)
 
 
 class TestResume:
@@ -64,7 +64,7 @@ class TestResume:
         second = run_campaign(
             BUDGET, seed=0, minimize=False, resume_from=journal,
             progress=completed.append,
-            should_stop=lambda: len(completed) >= 2)
+            stop=lambda: len(completed) >= 2)
         assert second.interrupted and second.resumed == 3
 
         final = run_campaign(BUDGET, seed=0, minimize=False,
