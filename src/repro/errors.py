@@ -22,7 +22,7 @@ Hierarchy::
     │       ├── BankStateViolation       column access to a closed/wrong row
     │       └── RetryConsistencyViolation  retry/watchdog bookkeeping broken
     ├── ResourceError          design exceeds FPGA resource capacity
-    ├── SweepError             supervised sweep finished with holes/interrupt
+    ├── SweepError             supervised sweep finished with holes
     └── FaultError             *modelled* hardware misbehaving (repro.faults)
         ├── TransactionTimeout a watched transaction exceeded its deadline
         ├── DeadlockError      global progress watchdog: no forward progress
@@ -148,7 +148,7 @@ class SweepError(ReproError):
     """A supervised sweep (:mod:`repro.runtime`) did not complete cleanly.
 
     Raised by strict callers when a :class:`~repro.runtime.SweepOutcome`
-    carries task failures (poisoned/timed-out/crashed points).  The
+    carries task failures (points that raised or crashed their worker).  The
     outcome — including every result that *did* complete — is attached
     as ``outcome``, so nothing already computed is lost to the raise.
     """

@@ -6,7 +6,7 @@
 450 MHz unidirectional reference.
 
 The workload is a perfectly partitioned SCS stream (every master on its
-own channel, burst length 16) so the ratio effect is isolated from all
+own channel, burst length 16) so the ratio effect is separated from all
 fabric contention.
 """
 

@@ -5,9 +5,8 @@ its own fabric and traffic and shares no state — so they scale linearly
 over worker processes.  :func:`parallel_sweep` maps a *module-level*
 function over the sweep points on the supervised runtime
 (:class:`repro.runtime.SupervisedPool`) while preserving input order;
-with ``workers <= 1`` (or in an environment where forking is
-undesirable) it degrades to a plain loop, so callers need no fallback
-logic.
+with ``workers <= 1`` it degrades to a plain loop, so callers need no
+fallback logic.
 
 Crash safety, on top of the old contract:
 
@@ -19,10 +18,11 @@ Crash safety, on top of the old contract:
   an interrupted command restores every finished point from disk and
   simulates only the rest;
 * a worker killed mid-run (OOM, SIGKILL) no longer aborts the sweep
-  with ``BrokenProcessPool``: the pool is rebuilt, lost tasks are
-  retried with backoff, and a task that keeps killing workers is
-  quarantined and reported as a structured
-  :class:`~repro.runtime.TaskFailure`.
+  with ``BrokenProcessPool``: each task that was in flight is re-run
+  alone, the innocent ones complete, and the one that kills its solo
+  worker too is reported as a structured
+  :class:`~repro.runtime.TaskFailure`; an incomplete sweep raises
+  :class:`~repro.errors.SweepError` carrying every finished result.
 
 Only module-level functions and picklable arguments may be passed (the
 standard multiprocessing contract); the experiment modules define their
@@ -56,32 +56,32 @@ def default_workers() -> int:
     return max(1, min(8, os.cpu_count() or 1))
 
 
-def supervised_sweep(
+def parallel_sweep(
     fn: Callable[[T], R],
     items: Sequence[T],
     workers: Optional[int] = None,
     *,
     cache=None,
     key_fn: Optional[Callable[[T], tuple]] = None,
-    task_timeout: Optional[float] = None,
-    max_crash_retries: int = 2,
-    quarantine: bool = True,
-    force_pool: bool = False,
-) -> SweepOutcome:
-    """Map ``fn`` over ``items`` under full supervision.
+) -> List[R]:
+    """Map ``fn`` over ``items``, optionally across processes.
 
-    The most general entry point: returns the complete
-    :class:`~repro.runtime.SweepOutcome` (ordered results, structured
-    failures, retry/rebuild accounting) instead of a bare list.  Cached
-    points are satisfied in the parent without re-simulation, and
-    everything else is dispatched to a
-    :class:`~repro.runtime.SupervisedPool` (or run inline for
-    ``workers <= 1``, where per-task timeouts cannot preempt).
+    Results come back in input order.  ``workers=None`` uses
+    :func:`default_workers`; ``workers<=1`` or a single item runs inline.
 
-    ``force_pool=True`` dispatches to the pool even for a single point —
-    the sweep service uses this to give *individual* jobs crash
-    isolation and preemptive timeouts, which the inline path cannot
-    provide.
+    With ``cache`` (a :class:`~repro.sim.cache.SimCache`) and ``key_fn``
+    (item -> cache key), cached points are satisfied in the parent
+    process and only the misses are dispatched to the pool; each fresh
+    result is stored back under its key *the moment it completes*, so a
+    crash mid-sweep never discards already-computed points.  This keeps
+    memoization effective across process-pool sweeps, where worker-local
+    caches die with the workers.
+
+    Runs on the supervised runtime: worker death surfaces as a
+    structured hole, not ``BrokenProcessPool``.  An incomplete sweep
+    raises :class:`~repro.errors.SweepError` carrying the partial
+    :class:`~repro.runtime.SweepOutcome` — every completed result and
+    every hole.
     """
     n = default_workers() if workers is None else workers
     items = list(items)
@@ -105,12 +105,8 @@ def supervised_sweep(
         if keys is not None:
             cache.put(keys[i], value)
 
-    if not todo:
-        return outcome
-
-    if not force_pool and (n <= 1 or len(todo) <= 1):
-        # Inline path: same checkpoint hook, no subprocesses (and
-        # therefore no preemptive timeouts or crash isolation).
+    if n <= 1 or len(todo) <= 1:
+        # Inline path: same checkpoint hook, no subprocesses.
         for i in todo:
             try:
                 value = fn(items[i])
@@ -122,58 +118,13 @@ def supervised_sweep(
             results[i] = value
             outcome.completed.append(i)
             on_result(i, value)
-        return outcome
-
-    pool = SupervisedPool(
-        workers=min(n, len(todo)),
-        task_timeout=task_timeout,
-        max_crash_retries=max_crash_retries,
-        quarantine=quarantine,
-    )
-    sub = pool.map(fn, items, indices=todo, results=results,
-                   on_result=on_result)
-    outcome.results = sub.results
-    outcome.completed.extend(sub.completed)
-    outcome.failures = sub.failures
-    outcome.retries = sub.retries
-    outcome.rebuilds = sub.rebuilds
-    outcome.quarantined = sub.quarantined
-    return outcome
-
-
-def parallel_sweep(
-    fn: Callable[[T], R],
-    items: Sequence[T],
-    workers: Optional[int] = None,
-    *,
-    cache=None,
-    key_fn: Optional[Callable[[T], tuple]] = None,
-    task_timeout: Optional[float] = None,
-    strict: bool = True,
-) -> List[R]:
-    """Map ``fn`` over ``items``, optionally across processes.
-
-    Results come back in input order.  ``workers=None`` uses
-    :func:`default_workers`; ``workers<=1`` or a single item runs inline.
-
-    With ``cache`` (a :class:`~repro.sim.cache.SimCache`) and ``key_fn``
-    (item -> cache key), cached points are satisfied in the parent
-    process and only the misses are dispatched to the pool; each fresh
-    result is stored back under its key *the moment it completes*, so a
-    crash mid-sweep never discards already-computed points.  This keeps
-    memoization effective across process-pool sweeps, where worker-local
-    caches die with the workers.
-
-    Runs on the supervised runtime: worker death and hangs surface as
-    structured holes, not ``BrokenProcessPool``.  With ``strict=True``
-    (default) an incomplete sweep raises
-    :class:`~repro.errors.SweepError` carrying the partial
-    :class:`~repro.runtime.SweepOutcome`; ``strict=False`` returns the
-    results list with ``None`` holes for callers that degrade.
-    """
-    outcome = supervised_sweep(
-        fn, items, workers, cache=cache, key_fn=key_fn,
-        task_timeout=task_timeout)
-    if strict:
-        outcome.require_complete()
+    else:
+        sub = SupervisedPool(workers=min(n, len(todo))).map(
+            fn, items, indices=todo, results=results, on_result=on_result)
+        outcome.results = sub.results
+        outcome.completed.extend(sub.completed)
+        outcome.failures = sub.failures
+        outcome.retries = sub.retries
+        outcome.rebuilds = sub.rebuilds
+    outcome.require_complete()
     return outcome.results  # type: ignore[return-value]

@@ -126,7 +126,7 @@ def _cmd_serve(args) -> int:
               flush=True)
     run_server(args.host, args.port, store=store, surface=surface,
                workers=args.queue_workers, default_cycles=args.cycles,
-               task_timeout=args.task_timeout, isolate=args.isolate)
+               task_timeout=args.task_timeout)
     return 0
 
 
@@ -282,7 +282,7 @@ def _cmd_run(keys: List[str], cycles: Optional[int]) -> str:
               if f.severity == "error"]
     # The state analyzer gates too: an uncovered sim-state field or a
     # waker bypass means the engine tiers can silently diverge, which
-    # would poison every number the run produces.
+    # would taint every number the run produces.
     errors.extend(f for f in state_mod.check_state()
                   if f.severity == "error")
     if errors:
@@ -501,10 +501,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                               "queue")
     p_serve.add_argument("--task-timeout", type=float, default=None,
                          help="per-job timeout in seconds")
-    p_serve.add_argument("--isolate", action="store_true",
-                         help="run each queued simulation in a supervised "
-                              "worker process (crash isolation + "
-                              "preemptive timeouts)")
     for name, helptext in (("estimate", "analytical bandwidth estimate"),
                            ("advise", "check a design against the guidelines")):
         p = sub.add_parser(name, help=helptext)

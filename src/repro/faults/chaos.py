@@ -301,10 +301,10 @@ def run_suite(
 
     Runs on the supervised sweep runtime: with ``workers > 1`` the
     scenarios fan out over a crash-supervised process pool (each
-    scenario is two simulations, so the suite parallelizes well), and a
-    scenario that crashes its worker surfaces as a structured
-    :class:`~repro.errors.SweepError` instead of a bare
-    ``BrokenProcessPool``.  Results are deterministic and identical at
+    scenario is two simulations, so the suite parallelizes well).  A
+    scenario that raises, or kills its worker even when re-run alone,
+    surfaces as a structured :class:`~repro.errors.SweepError` instead
+    of a bare ``BrokenProcessPool``.  Results are deterministic and identical at
     any worker count.
     """
     keys = sorted(SCENARIOS) if scenarios is None else list(scenarios)

@@ -4,8 +4,8 @@ The simulator itself became fault-tolerant in :mod:`repro.faults`; this
 package makes the *harness that runs it* fault-tolerant:
 
 * :mod:`repro.runtime.pool` — :class:`SupervisedPool`, a process pool
-  with per-task timeouts, ``BrokenProcessPool`` recovery, retry with
-  capped exponential backoff, poison-task quarantine, and structured
+  that survives ``BrokenProcessPool`` by re-running each task lost with
+  the pool alone in its own worker, with structured
   :class:`TaskFailure`/:class:`SweepOutcome` reporting,
 * :mod:`repro.runtime.journal` — :class:`RunJournal`, a durable
   append-only JSONL progress record enabling exact resume of
@@ -25,11 +25,11 @@ an interrupted command under ``REPRO_SIM_CACHE_DIR`` resumes it;
 from __future__ import annotations
 
 from .journal import JOURNAL_VERSION, JournalState, RunJournal, load_journal
-from .pool import ISOLATED_ENV, SupervisedPool, SweepOutcome, TaskFailure
+from .pool import SupervisedPool, SweepOutcome, TaskFailure
 from .signals import GracefulShutdown
 
 __all__ = [
     "JOURNAL_VERSION", "JournalState", "RunJournal", "load_journal",
-    "ISOLATED_ENV", "SupervisedPool", "SweepOutcome", "TaskFailure",
+    "SupervisedPool", "SweepOutcome", "TaskFailure",
     "GracefulShutdown",
 ]

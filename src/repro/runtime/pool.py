@@ -4,64 +4,45 @@
 OOM-killed worker raises :class:`BrokenProcessPool` out of ``pool.map``
 and every other in-flight and queued task — hours of sweep work — is
 gone.  :class:`SupervisedPool` replaces that with a dispatch loop built
-on ``submit`` + bounded in-flight windows that
+on ``submit`` + a bounded in-flight window and one crash rule:
 
-* enforces a per-task wall-clock **timeout** (a hung simulation cannot
-  stall the whole sweep; the pool is rebuilt and the stuck task
-  accounted),
-* survives **worker death** (``BrokenProcessPool`` or a timeout kill):
-  the pool is rebuilt with capped-exponential backoff and the tasks
-  that were in flight are retried,
-* quarantines **poison tasks**: a task in flight for ``max_crash_retries
-  + 1`` pool deaths is retried once in an isolated single-task
-  subprocess (so a crashy neighbour cannot defeat it) and, if it still
-  fails, reported as a structured :class:`TaskFailure` instead of
-  aborting the sweep — partial results with explicit holes, mirroring
-  the NACK-and-degrade philosophy of :mod:`repro.faults`.
+* when the shared pool breaks, it is killed (one *rebuild*) and every
+  task that was in flight is re-run **alone**, in its own one-worker
+  pool.  Simulations are deterministic, so that solo run is final: it
+  returns a result, raises (``TaskFailure(kind="error")``), or kills its
+  worker (``TaskFailure(kind="crash")``).  An innocent task that merely
+  shared the pool with a crasher therefore always completes, and the
+  crasher is charged exactly once.  The shared pool is rebuilt lazily
+  for the rest of the queue.
+* an ordinary exception from the task function in the shared pool is
+  reported at once as ``TaskFailure(kind="error")`` — re-running a
+  deterministic failure buys nothing.
 
 Everything lands in a :class:`SweepOutcome`: ordered results, the set of
-holes, and the supervision accounting (retries, pool rebuilds,
-quarantines).  Since simulations are deterministic, an *ordinary*
-exception from the task function is reported immediately as a
-``TaskFailure(kind="error")`` without retries — re-running a
-deterministic failure buys nothing; retry is reserved for tasks lost to
-worker death, which says nothing about the task itself.  An interrupt
-(``KeyboardInterrupt``) propagates to the caller after the workers are
-killed: the points already handed to ``on_result`` stay checkpointed
-and no worker outlives the sweep.
-
-Ordinary wall-clock reads below are supervision plumbing (timeouts,
-backoff), not simulated behaviour — simulation results stay a pure
-function of their configuration regardless of scheduling.
+holes, and the supervision accounting (solo re-runs, pool rebuilds) —
+partial results with explicit holes, mirroring the NACK-and-degrade
+philosophy of :mod:`repro.faults`.  An interrupt (``KeyboardInterrupt``)
+propagates to the caller after the workers are killed: the points
+already handed to ``on_result`` stay checkpointed and no worker outlives
+the sweep.  There is no per-task timeout: a simulation is bounded by its
+cycle count, its drain limit and its watchdogs.
 """
 
 from __future__ import annotations
 
-import os
-import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures import TimeoutError as FuturesTimeoutError
+from concurrent.futures import (FIRST_COMPLETED, Future, ProcessPoolExecutor,
+                                wait)
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Deque, Dict, List, Optional, Sequence,
-                    Tuple)
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple
 
 from ..errors import SweepError
-
-#: Environment marker set inside quarantine workers, so a task (or a
-#: test) can tell it is running in the isolated retry.
-ISOLATED_ENV = "REPRO_ISOLATED_TASK"
 
 
 def _describe(item: Any, limit: int = 120) -> str:
     text = repr(item)
     return text if len(text) <= limit else text[: limit - 3] + "..."
-
-
-def _mark_isolated() -> None:
-    """Initializer of the quarantine pool (module-level: picklable)."""
-    os.environ[ISOLATED_ENV] = "1"
 
 
 @dataclass(frozen=True)
@@ -75,9 +56,8 @@ class TaskFailure:
     """``repr`` of the item (truncated) — enough to re-run it by hand."""
 
     kind: str
-    """``error`` (task function raised), ``timeout`` (exceeded the
-    per-task wall-clock budget), ``crash`` (killed its worker), or
-    ``poison`` (kept killing workers and failed the isolated retry)."""
+    """``error`` (task function raised) or ``crash`` (killed its worker
+    when re-run alone)."""
 
     detail: str
     attempts: int = 1
@@ -99,8 +79,8 @@ class SweepOutcome:
     completed: List[int] = field(default_factory=list)
     failures: List[TaskFailure] = field(default_factory=list)
     retries: int = 0
+    """Tasks re-run alone after the shared pool broke."""
     rebuilds: int = 0
-    quarantined: int = 0
 
     @property
     def ok(self) -> bool:
@@ -119,8 +99,6 @@ class SweepOutcome:
             bits.append(f"{self.retries} retries")
         if self.rebuilds:
             bits.append(f"{self.rebuilds} pool rebuilds")
-        if self.quarantined:
-            bits.append(f"{self.quarantined} quarantined")
         return ", ".join(bits)
 
     def require_complete(self) -> "SweepOutcome":
@@ -134,74 +112,49 @@ class SweepOutcome:
         raise SweepError("\n".join(lines), outcome=self)
 
 
+def _kill_pool(pool: Optional[ProcessPoolExecutor]) -> None:
+    """Hard-stop a pool: terminate workers, discard the executor."""
+    if pool is None:
+        return
+    for proc in list(getattr(pool, "_processes", {}).values()):
+        try:
+            proc.terminate()
+        except OSError:  # pragma: no cover — already dead
+            pass
+    try:
+        pool.shutdown(wait=False, cancel_futures=True)
+    except Exception:  # pragma: no cover — broken pools may raise
+        pass
+
+
+def _run_solo(fn: Callable[[Any], Any], item: Any) -> Tuple[str, Any]:
+    """Run one task alone in a one-worker pool.
+
+    Returns ``("ok", value)``, ``("error", detail)`` or
+    ``("crash", detail)``."""
+    pool = ProcessPoolExecutor(max_workers=1)
+    try:
+        return "ok", pool.submit(fn, item).result()
+    except BrokenProcessPool:
+        return "crash", "killed its worker when re-run alone"
+    except Exception as exc:  # noqa: BLE001 — reported, not raised
+        return "error", f"{type(exc).__name__}: {exc}"
+    finally:
+        _kill_pool(pool)
+
+
 class SupervisedPool:
     """Crash-supervised process-pool mapper (see module docstring).
 
     ``workers`` fixes both the pool size and the in-flight window: at
-    most ``workers`` tasks are submitted at a time, so the per-task
-    timeout clock starts ticking approximately when the task starts
-    executing.
+    most ``workers`` tasks are submitted at a time, so a pool break
+    loses at most ``workers`` tasks to their solo re-runs.
     """
 
-    def __init__(self, workers: int, *,
-                 task_timeout: Optional[float] = None,
-                 max_crash_retries: int = 2,
-                 backoff_base: float = 0.1,
-                 backoff_cap: float = 2.0,
-                 quarantine: bool = True,
-                 poll_interval: float = 0.05) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if max_crash_retries < 0:
-            raise ValueError("max_crash_retries must be >= 0")
         self.workers = workers
-        self.task_timeout = task_timeout
-        self.max_crash_retries = max_crash_retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.quarantine = quarantine
-        self.poll_interval = poll_interval
-
-    # -- pool lifecycle ------------------------------------------------------
-
-    def _kill_pool(self, pool: Optional[ProcessPoolExecutor]) -> None:
-        """Hard-stop a pool: terminate workers, discard the executor."""
-        if pool is None:
-            return
-        for proc in list(getattr(pool, "_processes", {}).values()):
-            try:
-                proc.terminate()
-            except OSError:  # pragma: no cover — already dead
-                pass
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:  # pragma: no cover — broken pools may raise
-            pass
-
-    def _run_isolated(self, fn: Callable[[Any], Any], item: Any,
-                      ) -> Tuple[bool, Any]:
-        """One isolated retry in a dedicated single-task pool.
-
-        Returns ``(True, value)`` on success, ``(False, detail)`` on any
-        failure (crash, timeout, or exception)."""
-        pool = ProcessPoolExecutor(max_workers=1, initializer=_mark_isolated)
-        try:
-            future = pool.submit(fn, item)
-            try:
-                value = future.result(timeout=self.task_timeout)
-            except BrokenProcessPool:
-                return False, "crashed again in isolation"
-            except FuturesTimeoutError:
-                return False, (f"timed out again in isolation "
-                               f"(> {self.task_timeout}s)")
-            except Exception as exc:  # noqa: BLE001 — reported, not raised
-                return False, f"raised in isolation: " \
-                              f"{type(exc).__name__}: {exc}"
-            return True, value
-        finally:
-            self._kill_pool(pool)
-
-    # -- the supervised map --------------------------------------------------
 
     def map(self, fn: Callable[[Any], Any], items: Sequence[Any], *,
             indices: Optional[Sequence[int]] = None,
@@ -226,11 +179,8 @@ class SupervisedPool:
             raise ValueError("results seed must have one slot per item")
 
         queue: Deque[int] = deque(todo)
-        crashes: Dict[int, int] = {}     # index -> pool-fatal attempts
-        fail_kind: Dict[int, str] = {}   # index -> "crash" | "timeout"
         pool: Optional[ProcessPoolExecutor] = None
-        inflight: Dict[Any, int] = {}    # Future -> index
-        deadlines: Dict[Any, float] = {}  # Future -> monotonic deadline
+        inflight: Dict[Future[Any], int] = {}
 
         def record_result(i: int, value: Any) -> None:
             outcome.results[i] = value
@@ -244,115 +194,52 @@ class SupervisedPool:
                 index=i, task=_describe(items[i]), kind=kind,
                 detail=detail, attempts=attempts))
 
-        def handle_suspect(i: int) -> None:
-            """A task whose crash budget is exhausted: isolate or fail."""
-            attempts = crashes.get(i, 0)
-            kind = fail_kind.get(i, "crash")
-            history = (f"lost to {attempts} worker death(s)"
-                       if kind == "crash"
-                       else f"exceeded the {self.task_timeout}s task "
-                            f"timeout {attempts} time(s)")
-            if self.quarantine:
-                outcome.quarantined += 1
-                outcome.retries += 1
-                ok, payload = self._run_isolated(fn, items[i])
-                if ok:
-                    record_result(i, payload)
-                    return
-                record_failure(i, "poison", f"{history}; {payload}",
-                               attempts=attempts + 1)
+        def settle(future: Future[Any], lost: List[int]) -> None:
+            i = inflight.pop(future)
+            try:
+                value = future.result()
+            except BrokenProcessPool:
+                lost.append(i)
+            except Exception as exc:  # noqa: BLE001 — a finding
+                record_failure(i, "error", f"{type(exc).__name__}: {exc}",
+                               attempts=1)
             else:
-                record_failure(i, kind, history, attempts=attempts)
-
-        def recover_lost(offenders: Sequence[int]) -> None:
-            """Pool died (crash or timeout kill): requeue every in-flight
-            task, charging the crash budget of the ``offenders``."""
-            nonlocal pool
-            lost = sorted(inflight.values())
-            inflight.clear()
-            deadlines.clear()
-            self._kill_pool(pool)
-            pool = None
-            outcome.rebuilds += 1
-            for i in offenders:
-                crashes[i] = crashes.get(i, 0) + 1
-            outcome.retries += len(lost)
-            # Requeue at the front so recovery precedes fresh dispatch;
-            # suspects whose budget is exhausted are intercepted at
-            # dispatch time by handle_suspect().
-            for i in reversed(lost):
-                queue.appendleft(i)
-            backoff = min(self.backoff_cap,
-                          self.backoff_base * (2 ** (outcome.rebuilds - 1)))
-            if backoff > 0:
-                time.sleep(backoff)
+                record_result(i, value)
 
         try:
             while queue or inflight:
-                # -- dispatch ------------------------------------------------
+                lost: List[int] = []
                 while queue and len(inflight) < self.workers:
-                    i = queue.popleft()
-                    if crashes.get(i, 0) > self.max_crash_retries:
-                        handle_suspect(i)
-                        continue
                     if pool is None:
                         pool = ProcessPoolExecutor(max_workers=self.workers)
-                    future = pool.submit(fn, items[i])
-                    inflight[future] = i
-                    if self.task_timeout is not None:
-                        deadlines[future] = (
-                            time.monotonic()  # det-lint: allow
-                            + self.task_timeout)
-                if not inflight:
-                    continue
-                # -- wait ----------------------------------------------------
-                now = time.monotonic()  # det-lint: allow
-                timeout = self.poll_interval
-                if deadlines:
-                    timeout = min(timeout,
-                                  max(0.0, min(deadlines.values()) - now))
-                done, _ = wait(set(inflight), timeout=timeout,
-                               return_when=FIRST_COMPLETED)
-                # -- completions ---------------------------------------------
-                crashed: List[int] = []
-                for future in done:
-                    i = inflight.pop(future)
-                    deadlines.pop(future, None)
+                    i = queue.popleft()
                     try:
-                        value = future.result()
+                        inflight[pool.submit(fn, items[i])] = i
                     except BrokenProcessPool:
-                        crashed.append(i)
-                    except Exception as exc:  # noqa: BLE001 — a finding
-                        record_failure(
-                            i, "error", f"{type(exc).__name__}: {exc}",
-                            attempts=crashes.get(i, 0) + 1)
+                        lost.append(i)
+                        break
+                if not lost:
+                    done, _ = wait(inflight, return_when=FIRST_COMPLETED)
+                    for future in done:
+                        settle(future, lost)
+                    if not lost:
+                        continue
+                # The shared pool broke: everything still in it is lost.
+                for future in list(inflight):
+                    if future.done():
+                        settle(future, lost)
                     else:
-                        record_result(i, value)
-                if crashed:
-                    # Worker death takes every in-flight task with it;
-                    # all of them were at the scene, all are suspects.
-                    suspects = sorted(crashed) + sorted(inflight.values())
-                    for i in suspects:
-                        fail_kind.setdefault(i, "crash")
-                    for i in reversed(sorted(crashed)):
-                        queue.appendleft(i)
-                    recover_lost(suspects)
-                    outcome.retries += len(crashed)
-                    continue
-                # -- timeouts ------------------------------------------------
-                now = time.monotonic()  # det-lint: allow
-                expired = [f for f, dl in deadlines.items() if dl <= now]
-                if expired:
-                    offenders = sorted(inflight[f] for f in expired)
-                    for i in offenders:
-                        fail_kind[i] = "timeout"
-                    for i in reversed(offenders):
-                        queue.appendleft(i)
-                    for f in expired:
-                        inflight.pop(f, None)
-                        deadlines.pop(f, None)
-                    recover_lost(offenders)
-                    outcome.retries += len(offenders)
+                        lost.append(inflight.pop(future))
+                _kill_pool(pool)
+                pool = None
+                outcome.rebuilds += 1
+                for i in sorted(lost):
+                    outcome.retries += 1
+                    status, payload = _run_solo(fn, items[i])
+                    if status == "ok":
+                        record_result(i, payload)
+                    else:
+                        record_failure(i, status, payload, attempts=2)
         finally:
-            self._kill_pool(pool)
+            _kill_pool(pool)
         return outcome

@@ -17,17 +17,13 @@ from __future__ import annotations
 
 import signal
 from types import FrameType
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 
 class GracefulShutdown:
     """Two-stage SIGINT/SIGTERM handler (see module docstring)."""
 
-    def __init__(self,
-                 signals: Tuple[int, ...] = (signal.SIGINT, signal.SIGTERM),
-                 on_request: Optional[Callable[[], None]] = None) -> None:
-        self._signals = signals
-        self._on_request = on_request
+    def __init__(self) -> None:
         self._requested = False
         self._previous: Dict[int, Any] = {}
         self._installed = False
@@ -45,8 +41,6 @@ class GracefulShutdown:
     def request(self) -> None:
         """Programmatic shutdown request (tests, deadline logic)."""
         self._requested = True
-        if self._on_request is not None:
-            self._on_request()
 
     # -- signal plumbing -----------------------------------------------------
 
@@ -72,7 +66,7 @@ class GracefulShutdown:
 
     def __enter__(self) -> "GracefulShutdown":
         try:
-            for signum in self._signals:
+            for signum in (signal.SIGINT, signal.SIGTERM):
                 self._previous[signum] = signal.signal(signum, self._handle)
             self._installed = True
         except ValueError:

@@ -8,8 +8,8 @@ serves the same numbers *on demand*.  Three layers, each usable alone:
   point-typed view of the :class:`~repro.sim.cache.SimCache`, shareable
   across processes through one spill directory,
 * :class:`~repro.service.queue.JobQueue` — an asyncio queue that
-  deduplicates concurrent identical requests into one supervised
-  simulation and writes every result through to the store,
+  deduplicates concurrent identical requests into one simulation and
+  writes every result through to the store,
 * :class:`~repro.service.http.SweepService` /
   :class:`~repro.service.http.ServiceServer` — a stdlib HTTP front end
   answering warm queries in sub-millisecond time from the store or the

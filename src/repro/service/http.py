@@ -372,7 +372,6 @@ def run_server(host: str = "127.0.0.1", port: int = 8321, *,
                surface: Optional[SweepSurface] = None,
                workers: int = 1, default_cycles: int = DEFAULT_CYCLES,
                task_timeout: Optional[float] = None,
-               isolate: bool = False,
                ready: Optional[Any] = None) -> None:
     """Blocking entry point used by ``repro-hbm serve``.
 
@@ -387,8 +386,7 @@ def run_server(host: str = "127.0.0.1", port: int = 8321, *,
     and the background-thread test harness key off it.
     """
     store = store if store is not None else ResultStore()
-    queue = JobQueue(store, workers=workers, task_timeout=task_timeout,
-                     isolate=isolate)
+    queue = JobQueue(store, workers=workers, task_timeout=task_timeout)
     service = SweepService(store, queue, surface=surface,
                            default_cycles=default_cycles)
     server = ServiceServer(service, host, port)

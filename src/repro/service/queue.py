@@ -10,17 +10,15 @@ of importance:
    of enqueueing.  The identity is the store digest, i.e. the same
    content address as the cache entry, so "in flight" and "already
    stored" can never disagree about what a point *is*.
-2. **Structured failure.**  Jobs run through
-   :func:`~repro.experiments.parallel.supervised_sweep` (optionally on a
-   one-worker :class:`~repro.runtime.SupervisedPool` for crash
-   isolation), so a crashing or hanging simulation surfaces as a typed
-   :class:`JobFailure` carrying the
-   :class:`~repro.runtime.TaskFailure` kind/detail — never a dead
-   server or a silently dropped request.
-3. **Store write-through.**  The sweep layer writes each result to the
-   shared :class:`~repro.service.store.ResultStore` the moment it lands
-   (same streaming-checkpoint path batch sweeps use), so a result
-   computed for one client is a store hit for every later one.
+2. **Structured failure.**  A simulation that raises surfaces as a
+   typed :class:`JobFailure` (``kind="error"``, ``"<Type>: <msg>"``), and
+   one that outlives ``task_timeout`` as ``kind="timeout"`` — never a
+   dead server or a silently dropped request.
+3. **Store write-through.**  Each job checks the shared
+   :class:`~repro.service.store.ResultStore` first and writes its result
+   through the moment it lands, so a result computed for one client is
+   a store hit for every later one (and for batch sweeps on the same
+   directory).
 4. **Graceful drain.**  ``close(drain=True)`` stops intake, lets queued
    and in-flight jobs finish, and only then cancels the workers — a
    server shutdown never strands a waiting client.
@@ -36,13 +34,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from ..errors import ReproError
-from ..experiments.parallel import supervised_sweep
-from ..experiments.surface import PatternPoint, simulate_point, simulate_point_key
+from ..experiments.surface import PatternPoint, simulate_point
 from .store import ResultStore
 
 
 class JobFailure(ReproError):
-    """A queued simulation failed; carries the supervised-sweep detail."""
+    """A queued simulation failed; carries its kind and detail."""
 
     def __init__(self, digest: str, kind: str, detail: str) -> None:
         self.digest = digest
@@ -96,28 +93,23 @@ class _Job:
 
 
 class JobQueue:
-    """Deduplicating asyncio job queue over the supervised sweep runtime.
+    """Deduplicating asyncio job queue over the shared result store.
 
     ``workers`` asyncio worker tasks pull jobs in priority order and run
     each simulation in a thread (the simulation itself is synchronous
-    CPU work).  ``isolate=True`` additionally runs every simulation in a
-    one-worker supervised *process* pool, so a segfaulting point cannot
-    take the server down; the default inline mode still reports
-    exceptions as structured failures but shares the server process.
+    CPU work); an exception comes back as a structured
+    :class:`JobFailure`.
 
-    ``task_timeout`` bounds each job in seconds.  Under ``isolate`` the
-    pool enforces it preemptively (the worker process is killed); inline
-    it bounds only the await — the orphaned thread finishes in the
-    background and its result still reaches the store.
+    ``task_timeout`` bounds each job's await in seconds; the orphaned
+    thread finishes in the background and its result still reaches the
+    store.
     """
 
     def __init__(self, store: ResultStore, *, workers: int = 1,
-                 task_timeout: Optional[float] = None,
-                 isolate: bool = False) -> None:
+                 task_timeout: Optional[float] = None) -> None:
         self.store = store
         self.counters = QueueCounters()
         self.task_timeout = task_timeout
-        self.isolate = isolate
         self._workers = max(1, workers)
         self._queue: asyncio.PriorityQueue = asyncio.PriorityQueue()
         self._inflight: Dict[str, asyncio.Future] = {}
@@ -133,27 +125,26 @@ class JobQueue:
     def _run_point(self, point: PatternPoint) -> Any:
         """Synchronous job body (runs in a thread off the event loop).
 
-        One-point supervised sweep against the shared store: a prior
-        result short-circuits, a fresh one is written through, and any
-        failure comes back as a structured outcome instead of a raise.
+        A prior result in the store short-circuits; a fresh one is
+        written through; an exception becomes a :class:`JobFailure`.
         """
-        outcome = supervised_sweep(
-            simulate_point, [(point, self.store.platform)],
-            workers=2 if self.isolate else 1,
-            force_pool=self.isolate,
-            cache=self.store.cache, key_fn=simulate_point_key,
-            task_timeout=self.task_timeout if self.isolate else None)
-        if outcome.failures:
-            f = outcome.failures[0]
-            raise JobFailure(self.store.digest_for(point), f.kind, f.detail)
-        return outcome.results[0]
+        hit = self.store.get(point)
+        if hit is not None:
+            return hit
+        try:
+            report = simulate_point((point, self.store.platform))
+        except Exception as exc:  # noqa: BLE001 — structured failure
+            raise JobFailure(self.store.digest_for(point), "error",
+                             f"{type(exc).__name__}: {exc}") from exc
+        self.store.put(point, report)
+        return report
 
     async def _worker(self) -> None:
         while True:
             job: _Job = await self._queue.get()
             try:
                 coro = asyncio.to_thread(self._run_point, job.point)
-                if self.task_timeout is not None and not self.isolate:
+                if self.task_timeout is not None:
                     coro = asyncio.wait_for(coro, self.task_timeout)
                 report = await coro
             except asyncio.CancelledError:

@@ -147,6 +147,10 @@ class PruneResult:
         return text
 
 
+#: ``(path, size, mtime)`` of one file in the disk directory.
+_DiskFile = Tuple[str, int, float]
+
+
 def _memory_bound_default() -> Optional[int]:
     """In-memory entry bound from ``REPRO_SIM_CACHE_MEM`` (unset, empty,
     or ``<= 0`` means unbounded — the right default for batch sweeps)."""
@@ -326,50 +330,42 @@ class SimCache:
 
     # -- disk housekeeping ---------------------------------------------------
 
-    def _entries(self) -> List[Tuple[str, int, float]]:
-        """(path, size, mtime) of every on-disk entry, oldest first."""
-        directory = self.directory
-        if not directory or not os.path.isdir(directory):
-            return []
-        out: List[Tuple[str, int, float]] = []
-        for name in os.listdir(directory):
-            if not name.endswith(".pkl"):
-                continue
-            path = os.path.join(directory, name)
-            try:
-                st = os.stat(path)
-            except OSError:
-                continue  # raced with a concurrent prune/replace
-            out.append((path, st.st_size, st.st_mtime))
-        out.sort(key=lambda e: (e[2], e[0]))
-        return out
+    def _scan(self) -> Tuple[List[_DiskFile], List[_DiskFile]]:
+        """One walk of the disk directory: ``(entries, tmps)``, each a
+        list of ``(path, size, mtime)``, oldest first.
 
-    def _tmp_entries(self) -> List[Tuple[str, int, float]]:
-        """(path, size, mtime) of orphaned ``*.pkl.tmp.<pid>`` spill
-        files.  :meth:`put` writes the temp file then ``os.replace``\\ s it
-        into place; a crash between the two strands the temp forever, and
-        the ``*.pkl``-only :meth:`_entries` walk never saw them."""
+        ``entries`` are the ``*.pkl`` results; ``tmps`` are orphaned
+        ``*.pkl.tmp.<pid>`` spill files.  :meth:`put` writes the temp
+        file then ``os.replace``\\ s it into place; a crash between the
+        two strands the temp forever."""
+        entries: List[_DiskFile] = []
+        tmps: List[_DiskFile] = []
         directory = self.directory
         if not directory or not os.path.isdir(directory):
-            return []
-        out: List[Tuple[str, int, float]] = []
+            return entries, tmps
         for name in os.listdir(directory):
-            if ".pkl.tmp." not in name:
+            is_entry = name.endswith(".pkl")
+            is_tmp = ".pkl.tmp." in name
+            if not (is_entry or is_tmp):
                 continue
             path = os.path.join(directory, name)
             try:
                 st = os.stat(path)
             except OSError:
-                continue  # raced with the writer's os.replace
-            out.append((path, st.st_size, st.st_mtime))
-        out.sort(key=lambda e: (e[2], e[0]))
-        return out
+                continue  # raced with a writer's os.replace or a prune
+            row = (path, st.st_size, st.st_mtime)
+            if is_entry:
+                entries.append(row)
+            if is_tmp:
+                tmps.append(row)
+        entries.sort(key=lambda e: (e[2], e[0]))
+        tmps.sort(key=lambda e: (e[2], e[0]))
+        return entries, tmps
 
     def stats(self) -> CacheStats:
         """Entry count and byte footprint of the disk directory,
         orphaned spill temp files included."""
-        entries = self._entries()
-        tmps = self._tmp_entries()
+        entries, tmps = self._scan()
         return CacheStats(directory=self.directory,
                           entries=len(entries),
                           total_bytes=sum(size for _, size, _ in entries),
@@ -394,7 +390,7 @@ class SimCache:
         a *live* writer's in-progress temp file (written and renamed
         within milliseconds) safe from a concurrent prune.
         """
-        entries = self._entries()
+        entries, tmps = self._scan()
         total = sum(size for _, size, _ in entries)
         doomed: Dict[str, int] = {}
         if max_age_days is not None:
@@ -422,7 +418,7 @@ class SimCache:
             freed += size
         removed_tmp = 0
         tmp_cutoff = time.time() - tmp_grace_seconds  # det-lint: allow
-        for path, size, mtime in self._tmp_entries():
+        for path, size, mtime in tmps:
             if mtime >= tmp_cutoff:
                 continue  # possibly a live writer mid-spill; keep it
             try:

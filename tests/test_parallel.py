@@ -12,8 +12,7 @@ import time
 import pytest
 
 from repro.errors import SweepError
-from repro.experiments.parallel import (default_workers, parallel_sweep,
-                                        supervised_sweep)
+from repro.experiments.parallel import default_workers, parallel_sweep
 
 
 def _square(x):
@@ -88,19 +87,23 @@ class TestCrashSafety:
             parallel_sweep(_crash_on, items, workers=2)
         outcome = info.value.outcome
         assert outcome.holes == [2]
-        assert outcome.failures[0].kind in ("crash", "poison")
+        assert outcome.failures[0].kind == "crash"
         assert sorted(outcome.completed) == [0, 1, 3, 4, 5]
         assert [outcome.results[i] for i in (0, 1, 3, 4, 5)] == \
                [0, 1, 9, 16, 25]
 
-    def test_non_strict_sweep_returns_partial_results_with_holes(self):
+    def test_sweep_error_carries_partial_results_with_holes(self):
         items = [(i, i == 1) for i in range(4)]
-        out = parallel_sweep(_crash_on, items, workers=2, strict=False)
+        with pytest.raises(SweepError) as info:
+            parallel_sweep(_crash_on, items, workers=2)
+        out = info.value.outcome.results
         assert out[0] == 0 and out[2] == 4 and out[3] == 9
         assert out[1] is None  # the hole
 
     def test_inline_error_is_structured_too(self):
-        outcome = supervised_sweep(_square, ["bad", 2], workers=1)
+        with pytest.raises(SweepError) as info:
+            parallel_sweep(_square, ["bad", 2], workers=1)
+        outcome = info.value.outcome
         assert outcome.failures[0].kind == "error"
         assert "TypeError" in outcome.failures[0].detail
         assert outcome.results[1] == 4

@@ -1,9 +1,10 @@
 """Worker-crash recovery tests for the supervised pool.
 
-These tests kill real worker processes (``os._exit``), hang them, and
-raise from them, then assert the supervision contract: the sweep
-completes, survivors' results are intact, and the casualties surface as
-structured :class:`~repro.runtime.TaskFailure` holes — never as a
+These tests kill real worker processes (``os._exit``) and raise from
+them, then assert the supervision contract: the sweep completes,
+survivors' results are intact, every task lost with a broken pool is
+re-run alone, and the casualties surface as structured
+:class:`~repro.runtime.TaskFailure` holes — never as a
 ``BrokenProcessPool`` traceback that discards finished work.
 """
 
@@ -15,8 +16,7 @@ import time
 import pytest
 
 from repro.errors import SweepError
-from repro.runtime import (ISOLATED_ENV, SupervisedPool, SweepOutcome,
-                           TaskFailure)
+from repro.runtime import SupervisedPool, SweepOutcome, TaskFailure
 
 
 def _square(x):
@@ -31,12 +31,24 @@ def _crash_on(x):
     return value * value
 
 
-def _crash_unless_isolated(x):
-    """Crashy in a shared pool, fine alone: the quarantine rescue case
-    (models a task whose memory footprint only fits a dedicated worker)."""
-    value, crash = x
-    if crash and os.environ.get(ISOLATED_ENV) != "1":
+def _crash_once(x):
+    """Kill the worker on the first attempt only: the marker file records
+    that attempt, so the solo re-run completes (models a worker lost to
+    something outside the task, such as a neighbour's OOM kill)."""
+    value, marker = x
+    if marker is not None and not os.path.exists(marker):
+        open(marker, "w").close()
         os._exit(137)
+    return value * value
+
+
+def _crash_or_linger(x):
+    """The crasher dies at once; the innocent sleeps long enough to be
+    certainly in flight when it does."""
+    value, crash = x
+    if crash:
+        os._exit(137)
+    time.sleep(0.5)
     return value * value
 
 
@@ -47,22 +59,9 @@ def _raise_on(x):
     return value * value
 
 
-def _hang_on(x):
-    value, hang = x
-    if hang:
-        time.sleep(600)
-    return value * value
-
-
-def _fast_pool(**kwargs) -> SupervisedPool:
-    kwargs.setdefault("workers", 2)
-    kwargs.setdefault("backoff_base", 0.01)
-    return SupervisedPool(**kwargs)
-
-
 class TestHappyPath:
     def test_map_preserves_order(self):
-        outcome = _fast_pool().map(_square, list(range(8)))
+        outcome = SupervisedPool(workers=2).map(_square, list(range(8)))
         assert outcome.results == [x * x for x in range(8)]
         assert outcome.ok and not outcome.holes
         assert sorted(outcome.completed) == list(range(8))
@@ -70,18 +69,16 @@ class TestHappyPath:
 
     def test_indices_subset_and_seeded_results(self):
         results = ["keep", None, None, "keep2"]
-        outcome = _fast_pool().map(_square, [9, 2, 3, 9],
-                                   indices=[1, 2], results=results)
+        outcome = SupervisedPool(workers=2).map(
+            _square, [9, 2, 3, 9], indices=[1, 2], results=results)
         assert outcome.results == ["keep", 4, 9, "keep2"]
         assert outcome.total == 2
 
     def test_bad_args_rejected(self):
         with pytest.raises(ValueError, match="workers"):
             SupervisedPool(workers=0)
-        with pytest.raises(ValueError, match="max_crash_retries"):
-            SupervisedPool(workers=1, max_crash_retries=-1)
         with pytest.raises(ValueError, match="one slot per item"):
-            _fast_pool().map(_square, [1, 2], results=[None])
+            SupervisedPool(workers=2).map(_square, [1, 2], results=[None])
 
 
 class TestCrashRecovery:
@@ -89,38 +86,46 @@ class TestCrashRecovery:
         """The acceptance scenario: one point SIGKILLs its worker; every
         other point completes and the casualty is a structured hole."""
         items = [(i, i == 3) for i in range(8)]
-        outcome = _fast_pool().map(_crash_on, items)
+        outcome = SupervisedPool(workers=2).map(_crash_on, items)
         assert [outcome.results[i] for i in range(8) if i != 3] == \
                [i * i for i in range(8) if i != 3]
         assert outcome.holes == [3]
         failure = outcome.failures[0]
-        assert failure.kind == "poison"  # crashed in quarantine too
-        assert "worker death" in failure.detail
-        assert failure.attempts > 1
-        assert outcome.rebuilds >= 1 and outcome.retries >= 1
-        assert outcome.quarantined == 1
+        assert failure.kind == "crash"
+        assert "re-run alone" in failure.detail
+        assert failure.attempts == 2
+        assert outcome.rebuilds == 1 and outcome.retries >= 1
 
     def test_innocent_inflight_tasks_are_retried_not_failed(self):
         """Tasks co-resident with a crasher are lost with the pool but
         must be transparently re-run, not reported."""
         items = [(i, i == 0) for i in range(6)]
-        outcome = _fast_pool().map(_crash_on, items)
+        outcome = SupervisedPool(workers=2).map(_crash_on, items)
         assert outcome.holes == [0]
         assert sorted(outcome.completed) == [1, 2, 3, 4, 5]
 
-    def test_quarantine_rescues_shared_pool_casualty(self):
-        items = [(i, i == 2) for i in range(5)]
-        outcome = _fast_pool().map(_crash_unless_isolated, items)
+    def test_crash_beside_an_inflight_innocent_costs_one_rebuild(self):
+        """Regression: every task in flight at a worker death used to be
+        charged and re-dispatched together, so a slow innocent could die
+        beside the crasher until its crash budget ran out.  Now each lost
+        task re-runs alone: only the crasher is a hole, and the pool
+        breaks exactly once."""
+        items = [(0, True), (1, False)]
+        outcome = SupervisedPool(workers=2).map(_crash_or_linger, items)
+        assert outcome.holes == [0]
+        assert outcome.failures[0].kind == "crash"
+        assert outcome.results[1] == 1
+        assert outcome.completed == [1]
+        assert outcome.rebuilds == 1
+        assert outcome.retries == 2
+
+    def test_task_lost_once_completes_on_its_solo_rerun(self, tmp_path):
+        marker = str(tmp_path / "crashed-once")
+        items = [(i, marker if i == 2 else None) for i in range(5)]
+        outcome = SupervisedPool(workers=2).map(_crash_once, items)
         assert outcome.results == [i * i for i in range(5)]
         assert not outcome.failures
-        assert outcome.quarantined == 1  # rescued on the isolated retry
-
-    def test_quarantine_disabled_reports_crash_kind(self):
-        items = [(i, i == 1) for i in range(4)]
-        outcome = _fast_pool(quarantine=False).map(_crash_on, items)
-        assert outcome.holes == [1]
-        assert outcome.failures[0].kind == "crash"
-        assert outcome.quarantined == 0
+        assert outcome.rebuilds == 1
 
 
 class TestDeterministicErrors:
@@ -128,7 +133,7 @@ class TestDeterministicErrors:
         """Simulations are deterministic: re-running a raise buys
         nothing, so kind='error' is terminal on the first attempt."""
         items = [(i, i == 2) for i in range(5)]
-        outcome = _fast_pool().map(_raise_on, items)
+        outcome = SupervisedPool(workers=2).map(_raise_on, items)
         assert outcome.holes == [2]
         failure = outcome.failures[0]
         assert failure.kind == "error"
@@ -142,25 +147,14 @@ class TestDeterministicErrors:
         assert "task[4]" in text and "error" in text and "boom" in text
 
 
-class TestTimeouts:
-    def test_hung_task_is_killed_and_reported(self):
-        items = [(i, i == 1) for i in range(4)]
-        outcome = _fast_pool(task_timeout=1.5, quarantine=False).map(
-            _hang_on, items)
-        assert outcome.holes == [1]
-        assert outcome.failures[0].kind == "timeout"
-        assert "task timeout" in outcome.failures[0].detail
-        assert [outcome.results[i] for i in (0, 2, 3)] == [0, 4, 9]
-
-
 class TestOutcomeContract:
     def test_require_complete_passes_through_when_ok(self):
-        outcome = _fast_pool().map(_square, [1, 2, 3])
+        outcome = SupervisedPool(workers=2).map(_square, [1, 2, 3])
         assert outcome.require_complete() is outcome
 
     def test_require_complete_raises_with_outcome_attached(self):
         items = [(i, i == 0) for i in range(3)]
-        outcome = _fast_pool(quarantine=False).map(_crash_on, items)
+        outcome = SupervisedPool(workers=2).map(_crash_on, items)
         with pytest.raises(SweepError, match="sweep incomplete") as info:
             outcome.require_complete()
         # Completed work rides on the exception — never lost to the raise.
@@ -170,10 +164,9 @@ class TestOutcomeContract:
     def test_summary_mentions_every_anomaly(self):
         outcome = SweepOutcome(total=5, results=[None] * 5)
         outcome.completed = [0, 1]
-        outcome.failures = [TaskFailure(2, "t", "poison", "d", 3)]
+        outcome.failures = [TaskFailure(2, "t", "crash", "d", 2)]
         outcome.retries, outcome.rebuilds = 4, 2
-        outcome.quarantined = 1
         text = outcome.summary()
-        for needle in ("2/5", "1 failed", "poison", "4 retries",
-                       "2 pool rebuilds", "1 quarantined"):
+        for needle in ("2/5", "1 failed", "crash", "4 retries",
+                       "2 pool rebuilds"):
             assert needle in text
